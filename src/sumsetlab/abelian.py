@@ -22,7 +22,7 @@ import numpy as np
 
 from .constructions import enumerate_bases, random_basis_matrix, random_cover_set, random_set
 from .groups import GroupSpec, decode, is_prime, vector_space_spec
-from .reports import map_trials
+from .reports import Report, map_trials
 from .setops import (
     ElementMultiset,
     GroupSet,
@@ -56,7 +56,7 @@ def _least_integer_at_least(value: float) -> int:
 
 
 @dataclass
-class PlunneckeReport:
+class PlunneckeReport(Report):
     """One instance of |A+B| <= alpha*|B|  =>  |kA| <= alpha^k * |B|."""
 
     group: str
@@ -69,26 +69,13 @@ class PlunneckeReport:
     rhs: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "k": self.k,
-            "card_a": self.card_a,
-            "card_b": self.card_b,
-            "card_sum": self.card_sum,
-            "alpha": self.alpha,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-        }
-
 
 def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> PlunneckeReport:
     """Measure alpha = |A+B|/|B| and verify |kA| <= alpha^k |B|.
 
     A failure would indicate an engine bug, not new mathematics.
     """
-    _same_spec(a.spec, b.spec)
+    _same_spec(a.group, b.group)
     if a.card == 0 or b.card == 0:
         raise ValueError("both sets must be nonempty (alpha is undefined for empty B)")
     k = int(k)
@@ -99,7 +86,7 @@ def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> PlunneckeReport:
     lhs = m_fold(a, k).card
     rhs = alpha**k * b.card
     return PlunneckeReport(
-        group=str(a.spec),
+        group=str(a.group),
         k=k,
         card_a=a.card,
         card_b=b.card,
@@ -153,7 +140,7 @@ def theorem1_bound(m: int, order: int) -> int:
 
 
 @dataclass
-class Theorem1Report:
+class Theorem1Report(Report):
     """End-to-end check that 2K sets with m-fold sumset G sum to G."""
 
     group: str
@@ -172,22 +159,7 @@ class Theorem1Report:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "m": self.m,
-            "K": self.K,
-            "lambda": self.lam,
-            "required_K": self.required_K,
-            "meets_required_K": self.meets_required_K,
-            "family_cards": self.family_cards,
-            "hypothesis_ok": self.hypothesis_ok,
-            "halves": self.halves,
-            "chain_ok": self.chain_ok,
-            "halves_exceed_half": self.halves_exceed_half,
-            "final_card": self.final_card,
-            "final_cover": self.final_cover,
-            "passed": self.passed,
-        }
+        return {("lambda" if k == "lam" else k): v for k, v in super().to_dict().items()}
 
 
 def verify_theorem1(family: Sequence[GroupSet], m: int) -> Theorem1Report:
@@ -208,9 +180,9 @@ def verify_theorem1(family: Sequence[GroupSet], m: int) -> Theorem1Report:
     m = int(m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    spec = family[0].spec
+    spec = family[0].group
     for a in family:
-        _same_spec(spec, a.spec)
+        _same_spec(spec, a.group)
         if a.card == 0:
             raise ValueError("family sets must be nonempty")
     big_k = len(family) // 2
@@ -300,7 +272,7 @@ def theorem1_trials(
 
 
 @dataclass
-class PigeonholeReport:
+class PigeonholeReport(Report):
     """A + B = G whenever |A|, |B| > |G|/2; no claim otherwise."""
 
     group: str
@@ -313,32 +285,19 @@ class PigeonholeReport:
     witness_missing: list[int] | None
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "order": self.order,
-            "card_a": self.card_a,
-            "card_b": self.card_b,
-            "premise_met": self.premise_met,
-            "sum_card": self.sum_card,
-            "sum_covers": self.sum_covers,
-            "witness_missing": self.witness_missing,
-            "passed": self.passed,
-        }
-
 
 def pigeonhole_sum(a: GroupSet, b: GroupSet) -> PigeonholeReport:
-    _same_spec(a.spec, b.spec)
-    n = a.spec.order
+    _same_spec(a.group, b.group)
+    n = a.group.order
     s = sumset(a, b)
     premise = 2 * a.card > n and 2 * b.card > n
     covers = is_cover(s)
     witness = None
     if premise and not covers:
         comp = ((1 << n) - 1) & ~s.bits
-        witness = list(decode(a.spec, (comp & -comp).bit_length() - 1))
+        witness = list(decode(a.group, (comp & -comp).bit_length() - 1))
     return PigeonholeReport(
-        group=str(a.spec),
+        group=str(a.group),
         order=n,
         card_a=a.card,
         card_b=b.card,
@@ -403,16 +362,13 @@ def pigeonhole_exhaustive(order: int) -> dict:
 
 
 @dataclass
-class KpnUpper:
+class KpnUpper(Report):
     """Closed-form upper bounds for the bases-union covering constant."""
 
     p: int
     n: int
     general: float
     for_p3: float | None
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "n": self.n, "general": self.general, "for_p3": self.for_p3}
 
 
 def kpn_upper(p: int, n: int) -> KpnUpper:
@@ -434,7 +390,7 @@ def is_additive_basis(b: ElementMultiset) -> bool:
 
 
 @dataclass
-class KpnSearchReport:
+class KpnSearchReport(Report):
     """Search for the least k such that every union of k bases is additive."""
 
     p: int
@@ -444,17 +400,6 @@ class KpnSearchReport:
     levels: list[dict]
     result_k: int | None
     exact: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "k_max": self.k_max,
-            "budget": self.budget,
-            "levels": self.levels,
-            "result_k": self.result_k,
-            "exact": self.exact,
-        }
 
 
 _CLOSURE_WITNESS_LIMIT = 64

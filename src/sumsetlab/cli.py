@@ -14,20 +14,17 @@ import time
 from typing import Any
 
 from . import abelian, constructions, sl2
-from .config import set_order_cap
+from .config import order_cap, set_order_cap
 from .groups import parse_group_spec
 from .reports import RunReport, render
 from .setops import set_from_json, set_to_json, subset_sums, sumset
-from .sl2 import sl2_group, sl2_set_from_json
+from .sl2 import sl2_group
 
 
 def load_set(path: str, spec: Any):
     """Load a JSON set file against an Abelian spec or an SL2 group."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if isinstance(spec, sl2.SL2Group):
-        return sl2_set_from_json(spec, payload)
-    return set_from_json(spec, payload)
+        return set_from_json(spec, json.load(fh))
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
@@ -55,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example1", help="verify the half-zero family at (p, k)")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--json", action="store_true", help="force JSON output")
     _common(p)
 
     p = sub.add_parser("theorem1", help="two-half covering trials on random cover sets")
@@ -186,7 +182,7 @@ def _cmd_basis(args) -> tuple[bool, dict, Any]:
     if args.random:
         basis = constructions.random_basis_matrix(args.p, args.n, args.seed)
     else:
-        basis = constructions.standard_basis(args.p, args.n)
+        basis = constructions.standard_basis_matrix(args.p, args.n)
     closure_card = subset_sums(basis.to_multiset()).card
     report = {
         "p": args.p,
@@ -287,6 +283,7 @@ def run(argv: list[str] | None = None) -> int:
     command = args.command
     if command == "sl2":
         command = f"sl2-{args.sl2_command}"
+    cap = order_cap()
     try:
         if args.order_cap is not None:
             set_order_cap(args.order_cap)
@@ -304,6 +301,8 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"sumsetlab: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_order_cap(cap)
 
 
 def main() -> None:

@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .config import check_order, order_cap
 from .groups import GroupSpec, is_prime, vector_space_spec
+from .reports import Report
 from .setops import ElementMultiset, GroupSet, is_cover, m_fold, sumset
 
 
@@ -114,11 +115,11 @@ def example1_family(p: int, k: int) -> Example1Family:
         raise ValueError(f"k must be >= 1, got {k}")
     n = 2 ** int(k)
     sets = tuple(example_A(p, k, i) for i in range(int(k) + 1))
-    return Example1Family(int(p), int(k), n, sets[0].spec, sets)
+    return Example1Family(int(p), int(k), n, sets[0].group, sets)
 
 
 @dataclass
-class Example1Report:
+class Example1Report(Report):
     """All property checks for one half-zero family instance."""
 
     p: int
@@ -137,26 +138,6 @@ class Example1Report:
     final_misses_group: bool = False
     passed: bool = False
     notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "n": self.n,
-            "order": self.order,
-            "p2_degenerate": self.p2_degenerate,
-            "cards": self.cards,
-            "expected_cards": self.expected_cards,
-            "cards_ok": self.cards_ok,
-            "block_checks": self.block_checks,
-            "self_sum_checks": self.self_sum_checks,
-            "chain": self.chain,
-            "chain_ok": self.chain_ok,
-            "final_card": self.final_card,
-            "final_misses_group": self.final_misses_group,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
 
 
 _WITNESS_LIMIT = 64
@@ -305,12 +286,17 @@ class BasisMatrix:
         return ElementMultiset.from_coords(spec, self.rows)
 
 
-def standard_basis(p: int, n: int) -> ElementMultiset:
-    """The n unit vectors of Z_p^n."""
+def standard_basis_matrix(p: int, n: int) -> BasisMatrix:
+    """The n unit vectors of Z_p^n as the rows of the identity matrix."""
     rows = tuple(
         tuple(1 if j == i else 0 for j in range(int(n))) for i in range(int(n))
     )
-    return BasisMatrix(int(p), int(n), rows).to_multiset()
+    return BasisMatrix(int(p), int(n), rows)
+
+
+def standard_basis(p: int, n: int) -> ElementMultiset:
+    """The n unit vectors of Z_p^n."""
+    return standard_basis_matrix(p, n).to_multiset()
 
 
 def random_basis_matrix(p: int, n: int, seed: int, max_tries: int = 1000) -> BasisMatrix:

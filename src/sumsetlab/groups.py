@@ -42,6 +42,8 @@ class GroupSpec:
     identity is index 0.
     """
 
+    identity = 0
+
     factors: tuple[int, ...]
     order: int = field(init=False, compare=False, repr=False)
     weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
@@ -66,6 +68,12 @@ class GroupSpec:
     @property
     def rank(self) -> int:
         return len(self.factors)
+
+    def index(self, coords: Iterable[int]) -> int:
+        return encode(self, coords)
+
+    def element(self, x: int) -> tuple[int, ...]:
+        return decode(self, x)
 
     def __str__(self) -> str:
         return _format_factors(self.factors)

@@ -1,19 +1,26 @@
-"""Dense subsets of a finite Abelian group and the sumset kernel.
+"""Dense subsets of a finite group, the JSON set codec, and the Abelian
+sumset kernel.
 
 A set is an immutable Python-int bitmask over element indices (bit i set
 iff element i is a member), so unions and translates run word-parallel on
-CPython's big-int limbs.  ``sumset`` iterates the members of the smaller
-operand and ORs whole-set translates of the larger one; one translate is a
-handful of shift/mask passes per coordinate axis.
+CPython's big-int limbs.  The same set type serves both engines: its group
+is a ``GroupSpec`` or an ``SL2Group``.  ``sumset`` iterates the members of
+the smaller operand and ORs whole-set translates of the larger one; one
+translate is a handful of shift/mask passes per coordinate axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .groups import GroupSpec, check_index, decode, encode
+
+if TYPE_CHECKING:
+    from .sl2 import SL2Group
+
+    Group = GroupSpec | SL2Group
 
 # Per-spec translate-mask bytes kept around before falling back to
 # on-the-fly construction.
@@ -101,48 +108,59 @@ def _kernel(spec: GroupSpec) -> _Kernel:
 
 @dataclass(frozen=True)
 class GroupSet:
-    """An immutable bit-indexed subset of a GroupSpec's elements."""
+    """An immutable bit-indexed subset of a finite group's elements.
 
-    spec: GroupSpec
+    ``group`` is a ``GroupSpec`` or an ``SL2Group``: any object with
+    ``order``, an ``identity`` index, ``index(coords)`` and its inverse
+    ``element(i)``.  An element's coordinates are its mixed-radix digits in
+    a ``GroupSpec`` and its matrix entries ``(a, b, c, d)`` in SL2.
+    """
+
+    group: Group
     bits: int
     card: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> self.spec.order:
-            raise ValueError(f"bitmask has bits outside [0, {self.spec.order})")
+        if self.bits < 0 or self.bits >> self.group.order:
+            raise ValueError(f"bitmask has bits outside [0, {self.group.order})")
         object.__setattr__(self, "card", self.bits.bit_count())
 
-    @classmethod
-    def empty(cls, spec: GroupSpec) -> GroupSet:
-        return cls(spec, 0)
+    @property
+    def spec(self) -> Group:
+        """Alias of ``group``."""
+        return self.group
 
     @classmethod
-    def full(cls, spec: GroupSpec) -> GroupSet:
-        return cls(spec, (1 << spec.order) - 1)
+    def empty(cls, group: Group) -> GroupSet:
+        return cls(group, 0)
 
     @classmethod
-    def identity(cls, spec: GroupSpec) -> GroupSet:
-        return cls(spec, 1)
+    def full(cls, group: Group) -> GroupSet:
+        return cls(group, (1 << group.order) - 1)
 
     @classmethod
-    def from_indices(cls, spec: GroupSpec, indices: Iterable[int]) -> GroupSet:
+    def identity(cls, group: Group) -> GroupSet:
+        return cls(group, 1 << group.identity)
+
+    @classmethod
+    def from_indices(cls, group: Group, indices: Iterable[int]) -> GroupSet:
         bits = 0
         for x in indices:
-            bits |= 1 << check_index(spec, x)
-        return cls(spec, bits)
+            bits |= 1 << check_index(group, x)
+        return cls(group, bits)
 
     @classmethod
-    def from_coords(cls, spec: GroupSpec, coords: Iterable[Iterable[int]]) -> GroupSet:
-        return cls.from_indices(spec, (encode(spec, c) for c in coords))
+    def from_coords(cls, group: Group, coords: Iterable[Sequence[int]]) -> GroupSet:
+        return cls.from_indices(group, (group.index(c) for c in coords))
 
     def indices(self) -> list[int]:
-        return _bit_indices(self.bits, _kernel(self.spec).nbytes)
+        return _bit_indices(self.bits, (self.group.order + 7) >> 3)
 
     def coords(self) -> list[tuple[int, ...]]:
-        return [decode(self.spec, x) for x in self.indices()]
+        return [self.group.element(x) for x in self.indices()]
 
     def __contains__(self, x: int) -> bool:
-        return 0 <= x < self.spec.order and bool((self.bits >> x) & 1)
+        return 0 <= x < self.group.order and bool((self.bits >> x) & 1)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())
@@ -151,7 +169,7 @@ class GroupSet:
         return self.card
 
     def __repr__(self) -> str:
-        return f"GroupSet({self.spec}, card={self.card})"
+        return f"GroupSet({self.group}, card={self.card})"
 
 
 @dataclass(frozen=True)
@@ -199,15 +217,15 @@ class ElementMultiset:
         return ElementMultiset(self.spec, self.entries + other.entries)
 
 
-def _same_spec(a: GroupSpec, b: GroupSpec) -> None:
+def _same_spec(a: Group, b: Group) -> None:
     if a != b:
         raise SpecMismatchError(f"operands live over different groups: {a} vs {b}")
 
 
 def translate(a: GroupSet, g: int) -> GroupSet:
     """The translate ``{x + g : x in A}``; cardinality is preserved."""
-    coords = decode(a.spec, g)
-    return GroupSet(a.spec, _kernel(a.spec).translate(a.bits, coords))
+    coords = decode(a.group, g)
+    return GroupSet(a.group, _kernel(a.group).translate(a.bits, coords))
 
 
 def _sum_bits(spec: GroupSpec, xbits: int, ybits: int) -> int:
@@ -226,8 +244,8 @@ def _sum_bits(spec: GroupSpec, xbits: int, ybits: int) -> int:
 
 def sumset(a: GroupSet, b: GroupSet) -> GroupSet:
     """The sumset ``{x + y : x in A, y in B}``; empty if either input is."""
-    _same_spec(a.spec, b.spec)
-    return GroupSet(a.spec, _sum_bits(a.spec, a.bits, b.bits))
+    _same_spec(a.group, b.group)
+    return GroupSet(a.group, _sum_bits(a.group, a.bits, b.bits))
 
 
 def m_fold(a: GroupSet, m: int) -> GroupSet:
@@ -240,7 +258,7 @@ def m_fold(a: GroupSet, m: int) -> GroupSet:
     m = int(m)
     if m < 0:
         raise ValueError(f"fold count must be >= 0, got {m}")
-    spec = a.spec
+    spec = a.group
     if m == 0:
         return GroupSet.identity(spec)
     if m == 1 or a.card == 0:
@@ -286,25 +304,25 @@ def subset_sums(b: ElementMultiset) -> GroupSet:
 
 def is_cover(a: GroupSet) -> bool:
     """True iff the set is the whole group."""
-    return a.card == a.spec.order
+    return a.card == a.group.order
 
 
 def set_to_json(a: GroupSet, form: str = "bitmask") -> dict:
     """Serialize a set to the interchange dict (see ``set_from_json``)."""
     if form == "bitmask":
-        nbytes = _kernel(a.spec).nbytes
-        return {"bitmask_hex": a.bits.to_bytes(nbytes, "little").hex()}
+        return {"bitmask_hex": a.bits.to_bytes((a.group.order + 7) >> 3, "little").hex()}
     if form == "elements":
         return {"elements": [list(c) for c in a.coords()]}
     raise ValueError(f"unknown set serialization form {form!r}")
 
 
-def set_from_json(spec: GroupSpec, payload: dict) -> GroupSet:
+def set_from_json(group: Group, payload: dict) -> GroupSet:
     """Parse a set from either interchange form.
 
-    ``{"elements": [[c1,...,cr], ...]}`` lists coordinate tuples;
-    ``{"bitmask_hex": "..."}`` is the little-endian membership bitmask
-    (bit i of byte i//8 <=> element index i), exactly ceil(order/8) bytes.
+    ``{"elements": [[c1,...,cr], ...]}`` lists coordinate tuples (for SL2,
+    ``[a, b, c, d]`` rows); ``{"bitmask_hex": "..."}`` is the little-endian
+    membership bitmask (bit i of byte i//8 <=> element index i), exactly
+    ceil(order/8) bytes.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"set payload must be an object, got {type(payload).__name__}")
@@ -319,10 +337,10 @@ def set_from_json(spec: GroupSpec, payload: dict) -> GroupSet:
         bits = 0
         for c in elems:
             try:
-                bits |= 1 << encode(spec, c)
+                bits |= 1 << group.index(c)
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad element {c!r} for {spec}: {exc}") from exc
-        return GroupSet(spec, bits)
+                raise ValueError(f"bad element {c!r} for {group}: {exc}") from exc
+        return GroupSet(group, bits)
     raw = payload["bitmask_hex"]
     if not isinstance(raw, str):
         raise ValueError("'bitmask_hex' must be a hex string")
@@ -330,12 +348,12 @@ def set_from_json(spec: GroupSpec, payload: dict) -> GroupSet:
         data = bytes.fromhex(raw)
     except ValueError as exc:
         raise ValueError(f"bad bitmask hex: {exc}") from exc
-    nbytes = _kernel(spec).nbytes
+    nbytes = (group.order + 7) >> 3
     if len(data) != nbytes:
         raise ValueError(
-            f"bitmask length mismatch: got {len(data)} bytes, expected {nbytes} for {spec}"
+            f"bitmask length mismatch: got {len(data)} bytes, expected {nbytes} for {group}"
         )
     bits = int.from_bytes(data, "little")
-    if bits >> spec.order:
-        raise ValueError(f"bitmask has bits set beyond the group order {spec.order}")
-    return GroupSet(spec, bits)
+    if bits >> group.order:
+        raise ValueError(f"bitmask has bits set beyond the group order {group.order}")
+    return GroupSet(group, bits)

@@ -4,8 +4,8 @@ The group is materialized as a lexicographically ordered list of matrices
 (a, b, c, d) with ad - bc = 1 mod p, so element indices are deterministic.
 A full N x N multiplication table is precomputed when N = p^3 - p is at
 most 4096 (p <= 13); above that, products are computed on the fly from
-matrix entries in chunks.  Sets are bitmasks over element indices, exactly
-like the Abelian side.
+matrix entries in chunks.  Sets are ``GroupSet`` bitmasks over these
+element indices, the same set type the Abelian engine uses.
 
 Verified statements: the Ruzsa triangle inequality (with its
 representation-count proof on small instances), triple-product covering in
@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import check_order
 from .constructions import SearchBudgetError
 from .groups import is_prime
-from .reports import map_trials
-from .setops import _bit_indices
+from .reports import Report, map_trials
+from .setops import GroupSet, _same_spec, is_cover
 
 TABLE_CAP = 4096
 _CHUNK_CELLS = 1 << 22
@@ -106,11 +106,16 @@ class SL2Group:
         return int(self._products(np.array([i]), np.array([j]))[0, 0])
 
     def index(self, mat: Sequence[int]) -> int:
+        if len(mat) != 4:
+            raise ValueError(f"expected 4 matrix entries (a, b, c, d), got {len(mat)}")
         a, b, c, d = (int(v) % self.p for v in mat)
         idx = int(self._lut[self._pack_one(a, b, c, d)])
         if idx < 0:
             raise ValueError(f"matrix {tuple(mat)} has determinant != 1 mod {self.p}")
         return idx
+
+    def element(self, i: int) -> tuple[int, int, int, int]:
+        return self.elements[i]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SL2Group) and other.p == self.p
@@ -128,83 +133,23 @@ def sl2_group(p: int) -> SL2Group:
     return SL2Group(p)
 
 
-@dataclass(frozen=True)
-class SL2Set:
-    """Subset of SL2(Z_p) as a bitmask over element indices."""
-
-    group: SL2Group
-    bits: int
-    card: int = field(init=False, compare=False)
-
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.group.order:
-            raise ValueError("bitmask has bits outside the group")
-        object.__setattr__(self, "card", self.bits.bit_count())
-
-    @classmethod
-    def empty(cls, group: SL2Group) -> "SL2Set":
-        return cls(group, 0)
-
-    @classmethod
-    def full(cls, group: SL2Group) -> "SL2Set":
-        return cls(group, (1 << group.order) - 1)
-
-    @classmethod
-    def identity_set(cls, group: SL2Group) -> "SL2Set":
-        return cls(group, 1 << group.identity)
-
-    @classmethod
-    def from_indices(cls, group: SL2Group, indices: Iterable[int]) -> "SL2Set":
-        bits = 0
-        for i in indices:
-            i = int(i)
-            if not 0 <= i < group.order:
-                raise ValueError(f"index {i} out of range for order {group.order}")
-            bits |= 1 << i
-        return cls(group, bits)
-
-    @classmethod
-    def from_matrices(cls, group: SL2Group, mats: Iterable[Sequence[int]]) -> "SL2Set":
-        return cls.from_indices(group, (group.index(m) for m in mats))
-
-    def indices(self) -> list[int]:
-        return _bit_indices(self.bits, (self.group.order + 7) // 8)
-
-    def matrices(self) -> list[tuple[int, int, int, int]]:
-        return [self.group.elements[i] for i in self.indices()]
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.group.order and (self.bits >> i) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices())
-
-    def __len__(self) -> int:
-        return self.card
-
-    def __repr__(self) -> str:
-        return f"SL2Set(p={self.group.p}, card={self.card})"
-
-
-def _same_group(x: SL2Group, y: SL2Group) -> None:
-    if x != y:
-        raise ValueError(f"group mismatch: SL2({x.p}) vs SL2({y.p})")
+SL2Set = GroupSet  # the one set type, under the name SL2 callers know
 
 
 def _bits_from_bool(out: np.ndarray) -> int:
     return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
 
 
-def _index_array(x: SL2Set) -> np.ndarray:
+def _index_array(x: GroupSet) -> np.ndarray:
     return np.array(x.indices(), dtype=np.int64)
 
 
-def product_set(x: SL2Set, y: SL2Set) -> SL2Set:
+def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
     """{a*b : a in X, b in Y}; not commutative in general."""
-    _same_group(x.group, y.group)
+    _same_spec(x.group, y.group)
     g = x.group
     if x.card == 0 or y.card == 0:
-        return SL2Set.empty(g)
+        return GroupSet.empty(g)
     ix = _index_array(x)
     iy = _index_array(y)
     out = np.zeros(g.order, dtype=bool)
@@ -213,21 +158,17 @@ def product_set(x: SL2Set, y: SL2Set) -> SL2Set:
         out[g.product_indices(ix[lo : lo + step], iy).ravel()] = True
         if out.all():
             break
-    return SL2Set(g, _bits_from_bool(out))
+    return GroupSet(g, _bits_from_bool(out))
 
 
-def inverse_set(x: SL2Set) -> SL2Set:
+def inverse_set(x: GroupSet) -> GroupSet:
     """{a^-1 : a in X}."""
     g = x.group
     if x.card == 0:
         return x
     out = np.zeros(g.order, dtype=bool)
     out[g.inv[_index_array(x)]] = True
-    return SL2Set(g, _bits_from_bool(out))
-
-
-def is_full(x: SL2Set) -> bool:
-    return x.card == x.group.order
+    return GroupSet(g, _bits_from_bool(out))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +176,7 @@ def is_full(x: SL2Set) -> bool:
 
 
 @dataclass
-class RuzsaReport:
+class RuzsaReport(Report):
     """|AC^-1| <= |AB^-1| |BC^-1| / |B|, plus the proof's counting claim."""
 
     p: int
@@ -252,36 +193,19 @@ class RuzsaReport:
     count_ok: bool | None
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "card_a": self.card_a,
-            "card_b": self.card_b,
-            "card_c": self.card_c,
-            "card_ac_inv": self.card_ac_inv,
-            "card_ab_inv": self.card_ab_inv,
-            "card_bc_inv": self.card_bc_inv,
-            "rhs": self.rhs,
-            "inequality_ok": self.inequality_ok,
-            "count_checked": self.count_checked,
-            "min_representations": self.min_representations,
-            "count_ok": self.count_ok,
-            "passed": self.passed,
-        }
-
 
 _COUNT_LIMIT = 1 << 22
 
 
-def check_ruzsa(a: SL2Set, b: SL2Set, c: SL2Set, count_limit: int = _COUNT_LIMIT) -> RuzsaReport:
+def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet, count_limit: int = _COUNT_LIMIT) -> RuzsaReport:
     """Verify the triangle inequality; on small instances also verify that
     every z in AC^-1 factors as x*y (x in AB^-1, y in BC^-1) in >= |B| ways.
 
     The inequality itself is checked in exact integer arithmetic:
     |AC^-1| * |B| <= |AB^-1| * |BC^-1|.
     """
-    _same_group(a.group, b.group)
-    _same_group(a.group, c.group)
+    _same_spec(a.group, b.group)
+    _same_spec(a.group, c.group)
     if b.card == 0:
         raise ValueError("B must be nonempty")
     g = a.group
@@ -326,16 +250,13 @@ def check_ruzsa(a: SL2Set, b: SL2Set, c: SL2Set, count_limit: int = _COUNT_LIMIT
 
 
 @dataclass
-class QuasirandomInfo:
+class QuasirandomInfo(Report):
     """D = (p-1)/2 from the Frobenius formula; G is N^delta-quasirandom."""
 
     p: int
     order: int
     D: int
     delta: float
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "order": self.order, "D": self.D, "delta": self.delta}
 
 
 def quasirandom_info(p: int) -> QuasirandomInfo:
@@ -350,7 +271,7 @@ def quasirandom_info(p: int) -> QuasirandomInfo:
 
 
 @dataclass
-class GowersReport:
+class GowersReport(Report):
     """|A||B||C| > N^3/D forces ABC = G; no claim below the threshold."""
 
     p: int
@@ -365,26 +286,11 @@ class GowersReport:
     covers: bool
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "order": self.order,
-            "D": self.D,
-            "card_a": self.card_a,
-            "card_b": self.card_b,
-            "card_c": self.card_c,
-            "triple_product": self.triple_product,
-            "premise_met": self.premise_met,
-            "product_card": self.product_card,
-            "covers": self.covers,
-            "passed": self.passed,
-        }
 
-
-def check_gowers(a: SL2Set, b: SL2Set, c: SL2Set) -> GowersReport:
+def check_gowers(a: GroupSet, b: GroupSet, c: GroupSet) -> GowersReport:
     """Premise is evaluated in exact integers: |A||B||C| * D > N^3."""
-    _same_group(a.group, b.group)
-    _same_group(a.group, c.group)
+    _same_spec(a.group, b.group)
+    _same_spec(a.group, c.group)
     g = a.group
     if g.p < 5:
         raise ValueError(f"requires p >= 5, got p={g.p}")
@@ -392,7 +298,7 @@ def check_gowers(a: SL2Set, b: SL2Set, c: SL2Set) -> GowersReport:
     triple = a.card * b.card * c.card
     premise = triple * info.D > g.order**3
     abc = product_set(product_set(a, b), c)
-    covers = is_full(abc)
+    covers = is_cover(abc)
     return GowersReport(
         p=g.p,
         order=g.order,
@@ -424,7 +330,7 @@ def theorem4_bound(delta: float) -> int:
 
 
 @dataclass
-class Theorem4Report:
+class Theorem4Report(Report):
     """3K sets with A_i A_i^-1 = G multiply out to G, via three K-blocks."""
 
     p: int
@@ -441,25 +347,8 @@ class Theorem4Report:
     final_cover: bool
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "order": self.order,
-            "D": self.D,
-            "delta": self.delta,
-            "K": self.K,
-            "family_cards": self.family_cards,
-            "hypothesis_ok": self.hypothesis_ok,
-            "blocks": self.blocks,
-            "chain_ok": self.chain_ok,
-            "gowers_premise_met": self.gowers_premise_met,
-            "final_card": self.final_card,
-            "final_cover": self.final_cover,
-            "passed": self.passed,
-        }
 
-
-def verify_theorem4(family: Sequence[SL2Set]) -> Theorem4Report:
+def verify_theorem4(family: Sequence[GroupSet]) -> Theorem4Report:
     """Check the covering chain for 3K sets, K per block.
 
     Per set: the hypothesis A_i A_i^-1 = G.  Per block: the first set has
@@ -477,16 +366,16 @@ def verify_theorem4(family: Sequence[SL2Set]) -> Theorem4Report:
     if g.p < 5:
         raise ValueError(f"requires p >= 5, got p={g.p}")
     for a in family:
-        _same_group(g, a.group)
+        _same_spec(g, a.group)
         if a.card == 0:
             raise ValueError("family sets must be nonempty")
     big_k = len(family) // 3
     n = g.order
     info = quasirandom_info(g.p)
 
-    hypothesis_ok = [is_full(product_set(a, inverse_set(a))) for a in family]
+    hypothesis_ok = [is_cover(product_set(a, inverse_set(a))) for a in family]
     blocks: list[dict] = []
-    block_products: list[SL2Set] = []
+    block_products: list[GroupSet] = []
     floor = n ** (1.0 - info.delta / 3.0)
     for j in range(3):
         part = family[j * big_k : (j + 1) * big_k]
@@ -520,7 +409,7 @@ def verify_theorem4(family: Sequence[SL2Set]) -> Theorem4Report:
     triple = block_products[0].card * block_products[1].card * block_products[2].card
     premise = triple * info.D > n**3
     final = product_set(product_set(block_products[0], block_products[1]), block_products[2])
-    final_cover = is_full(final)
+    final_cover = is_cover(final)
     return Theorem4Report(
         p=g.p,
         order=n,
@@ -539,7 +428,7 @@ def verify_theorem4(family: Sequence[SL2Set]) -> Theorem4Report:
 
 
 @dataclass
-class Remark12Report:
+class Remark12Report(Report):
     """At p >= 7 the bound gives K=4, so twelve hypothesis sets suffice."""
 
     p: int
@@ -553,30 +442,16 @@ class Remark12Report:
     trials_passed: list[bool]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "order": self.order,
-            "D": self.D,
-            "delta": self.delta,
-            "K": self.K,
-            "n_sets": self.n_sets,
-            "applies": self.applies,
-            "trials": self.trials,
-            "trials_passed": self.trials_passed,
-            "passed": self.passed,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Random sets and trial runners
 
 
-def random_sl2_set(group: SL2Group, size: int, rng: random.Random) -> SL2Set:
+def random_sl2_set(group: SL2Group, size: int, rng: random.Random) -> GroupSet:
     size = int(size)
     if not 0 <= size <= group.order:
         raise ValueError(f"size {size} out of range for order {group.order}")
-    return SL2Set.from_indices(group, rng.sample(range(group.order), size))
+    return GroupSet.from_indices(group, rng.sample(range(group.order), size))
 
 
 def sample_hypothesis_set(
@@ -584,14 +459,14 @@ def sample_hypothesis_set(
     rng: random.Random,
     density: float = 0.25,
     max_tries: int = 200,
-) -> SL2Set:
+) -> GroupSet:
     """Rejection-sample a set with A * A^-1 = G at the target density."""
     if not 0 < density <= 1:
         raise ValueError(f"density must be in (0, 1], got {density}")
     size = min(group.order, max(1, math.ceil(density * group.order)))
     for _ in range(max_tries):
         cand = random_sl2_set(group, size, rng)
-        if is_full(product_set(cand, inverse_set(cand))):
+        if is_cover(product_set(cand, inverse_set(cand))):
             return cand
     raise SearchBudgetError(
         f"no hypothesis set found in {max_tries} tries "
@@ -676,46 +551,3 @@ def remark12(
         trials_passed=trials_passed,
         passed=all(trials_passed) if applies else True,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON set files
-
-
-def sl2_set_to_json(x: SL2Set, form: str = "elements") -> dict:
-    """Serializable dict; elements are (a,b,c,d) rows, bitmask is hex over
-    little-endian index bytes, same convention as the Abelian encoding."""
-    g = x.group
-    if form == "elements":
-        return {"elements": [list(m) for m in x.matrices()]}
-    if form == "bitmask":
-        nbytes = (g.order + 7) // 8
-        return {"bitmask_hex": x.bits.to_bytes(nbytes, "little").hex()}
-    raise ValueError(f"unknown form: {form!r}")
-
-
-def sl2_set_from_json(group: SL2Group, payload: dict) -> SL2Set:
-    if not isinstance(payload, dict):
-        raise ValueError("set payload must be a JSON object")
-    keys = {"elements", "bitmask_hex"} & set(payload)
-    if len(keys) != 1:
-        raise ValueError("set payload needs exactly one of 'elements' or 'bitmask_hex'")
-    if "elements" in keys:
-        rows = payload["elements"]
-        if not isinstance(rows, list):
-            raise ValueError("'elements' must be a list of 4-entry rows")
-        for row in rows:
-            if not isinstance(row, (list, tuple)) or len(row) != 4:
-                raise ValueError(f"bad element {row!r}: expected 4 matrix entries")
-        return SL2Set.from_matrices(group, rows)
-    try:
-        raw = bytes.fromhex(payload["bitmask_hex"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad bitmask_hex: {exc}") from exc
-    nbytes = (group.order + 7) // 8
-    if len(raw) != nbytes:
-        raise ValueError(f"bitmask length mismatch: got {len(raw)} bytes, expected {nbytes}")
-    bits = int.from_bytes(raw, "little")
-    if bits >> group.order:
-        raise ValueError("bitmask has bits outside the group")
-    return SL2Set(group, bits)

@@ -9,7 +9,7 @@ from sumsetlab import cli
 from sumsetlab.config import order_cap, set_order_cap
 from sumsetlab.groups import parse_group_spec
 from sumsetlab.setops import GroupSet, set_to_json
-from sumsetlab.sl2 import SL2Set, sl2_group, sl2_set_to_json
+from sumsetlab.sl2 import SL2Set, sl2_group
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +61,12 @@ def test_order_cap_flag(capsys):
     code = cli.run(["theorem1", "--group", "Z2^20", "--m", "2", "--order-cap", "1000"])
     assert code == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_order_cap_flag_scoped_to_its_run(capsys):
+    cap = order_cap()
+    assert cli.run(["plunnecke", "--group", "Z16", "--trials", "1", "--order-cap", "200"]) == 0
+    assert order_cap() == cap
 
 
 def test_order_cap_env_var():
@@ -153,8 +159,15 @@ def test_basis_command(capsys):
     assert rep["report"]["is_additive_basis"] is True
 
 
+def test_basis_command_standard(capsys):
+    code, rep = run_json(capsys, ["basis", "--p", "2", "--n", "3"])
+    assert code == 0
+    assert rep["report"]["closure_card"] == 8
+    assert rep["report"]["rows"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_example1_json_flag(capsys):
-    code, rep = run_json(capsys, ["example1", "--p", "3", "--k", "2", "--json"])
+    code, rep = run_json(capsys, ["example1", "--p", "3", "--k", "2"])
     assert code == 0
     assert rep["report"]["cards"] == [16, 16, 16]
 
@@ -227,7 +240,7 @@ def test_load_set_round_trip(tmp_path):
     g = sl2_group(5)
     s = SL2Set.from_indices(g, [0, 1, 119])
     path2 = tmp_path / "sl2.json"
-    path2.write_text(json.dumps(sl2_set_to_json(s)))
+    path2.write_text(json.dumps(set_to_json(s, form="elements")))
     assert cli.load_set(str(path2), g) == s
 
 

@@ -12,20 +12,18 @@ from sumsetlab.sl2 import (
     check_ruzsa,
     gowers_trials,
     inverse_set,
-    is_full,
     product_set,
     quasirandom_info,
     remark12,
     ruzsa_trials,
     sample_hypothesis_set,
     sl2_group,
-    sl2_set_from_json,
-    sl2_set_to_json,
     theorem4_bound,
     theorem4_trials,
     verify_theorem4,
 )
 from sumsetlab.constructions import SearchBudgetError
+from sumsetlab.setops import is_cover, set_from_json, set_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +105,19 @@ def test_sl2_set_basics():
     assert 5 in s and 6 not in s
     assert SL2Set.full(g).card == 24
     assert SL2Set.empty(g).card == 0
-    assert SL2Set.identity_set(g).matrices() == [(1, 0, 0, 1)]
+    assert SL2Set.identity(g).coords() == [(1, 0, 0, 1)]
     with pytest.raises(ValueError):
         SL2Set.from_indices(g, [24])
     with pytest.raises(ValueError):
         SL2Set(g, 1 << 24)
     with pytest.raises(ValueError):
-        SL2Set.from_matrices(g, [(1, 1, 1, 1)])
+        SL2Set.from_coords(g, [(1, 1, 1, 1)])
 
 
 def test_product_set_examples():
     g = sl2_group(3)
     full = SL2Set.full(g)
-    ident = SL2Set.identity_set(g)
+    ident = SL2Set.identity(g)
     rng = random.Random(2)
     a = SL2Set.from_indices(g, rng.sample(range(24), 7))
     assert product_set(a, ident) == a
@@ -135,8 +133,8 @@ def test_product_set_matches_naive():
     for _ in range(25):
         xs = SL2Set.from_indices(g, rng.sample(range(24), rng.randint(1, 12)))
         ys = SL2Set.from_indices(g, rng.sample(range(24), rng.randint(1, 12)))
-        got = frozenset(product_set(xs, ys).matrices())
-        assert got == naive_sl2_product_set(3, xs.matrices(), ys.matrices())
+        got = frozenset(product_set(xs, ys).coords())
+        assert got == naive_sl2_product_set(3, xs.coords(), ys.coords())
 
 
 def test_product_set_no_table_path():
@@ -145,18 +143,18 @@ def test_product_set_no_table_path():
     rng = random.Random(4)
     xs = SL2Set.from_indices(g, rng.sample(range(g.order), 40))
     ys = SL2Set.from_indices(g, rng.sample(range(g.order), 40))
-    got = frozenset(product_set(xs, ys).matrices())
-    assert got == naive_sl2_product_set(17, xs.matrices(), ys.matrices())
+    got = frozenset(product_set(xs, ys).coords())
+    assert got == naive_sl2_product_set(17, xs.coords(), ys.coords())
     inv = inverse_set(xs)
-    assert frozenset(inv.matrices()) == frozenset(
-        (d, (-b) % 17, (-c) % 17, a) for a, b, c, d in xs.matrices()
+    assert frozenset(inv.coords()) == frozenset(
+        (d, (-b) % 17, (-c) % 17, a) for a, b, c, d in xs.coords()
     )
 
 
 def test_product_set_not_commutative():
     g = sl2_group(5)
-    x = SL2Set.from_matrices(g, [(1, 1, 0, 1)])
-    y = SL2Set.from_matrices(g, [(1, 0, 1, 1)])
+    x = SL2Set.from_coords(g, [(1, 1, 0, 1)])
+    y = SL2Set.from_coords(g, [(1, 0, 1, 1)])
     assert product_set(x, y) != product_set(y, x)
 
 
@@ -304,7 +302,7 @@ def test_theorem4_seeded_families():
 def test_theorem4_hypothesis_gate():
     g = sl2_group(5)
     full = SL2Set.full(g)
-    tiny = SL2Set.identity_set(g)
+    tiny = SL2Set.identity(g)
     rep = verify_theorem4([full, tiny, full])
     assert rep.hypothesis_ok == [True, False, True]
     assert not rep.passed
@@ -354,7 +352,7 @@ def test_remark12_small_p_rejected():
 def test_sample_hypothesis_set():
     g = sl2_group(7)
     a = sample_hypothesis_set(g, random.Random(0))
-    assert is_full(product_set(a, inverse_set(a)))
+    assert is_cover(product_set(a, inverse_set(a)))
     assert a == sample_hypothesis_set(g, random.Random(0))
     with pytest.raises(SearchBudgetError):
         sample_hypothesis_set(sl2_group(5), random.Random(0), density=0.01, max_tries=20)
@@ -369,16 +367,16 @@ def test_sl2_json_round_trips():
     rng = random.Random(8)
     a = SL2Set.from_indices(g, rng.sample(range(120), 33))
     for form in ("elements", "bitmask"):
-        assert sl2_set_from_json(g, sl2_set_to_json(a, form=form)) == a
+        assert set_from_json(g, set_to_json(a, form=form)) == a
 
 
 def test_sl2_json_errors():
     g = sl2_group(3)
     with pytest.raises(ValueError, match="exactly one"):
-        sl2_set_from_json(g, {})
+        set_from_json(g, {})
     with pytest.raises(ValueError, match="determinant"):
-        sl2_set_from_json(g, {"elements": [[1, 1, 1, 1]]})
+        set_from_json(g, {"elements": [[1, 1, 1, 1]]})
     with pytest.raises(ValueError, match="4 matrix entries"):
-        sl2_set_from_json(g, {"elements": [[1, 0, 0]]})
+        set_from_json(g, {"elements": [[1, 0, 0]]})
     with pytest.raises(ValueError, match="length mismatch"):
-        sl2_set_from_json(g, {"bitmask_hex": "00"})
+        set_from_json(g, {"bitmask_hex": "00"})
