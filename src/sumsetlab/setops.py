@@ -337,7 +337,11 @@ def set_from_json(group: Group, payload: dict) -> GroupSet:
         bits = 0
         for c in elems:
             try:
-                bits |= 1 << group.index(c)
+                x = group.index(c)
+                reduced = group.element(x)
+                if reduced != tuple(c):
+                    raise ValueError(f"entries out of range; reduced form is {reduced}")
+                bits |= 1 << x
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad element {c!r} for {group}: {exc}") from exc
         return GroupSet(group, bits)

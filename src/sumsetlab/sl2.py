@@ -2,9 +2,14 @@
 
 The group is materialized as a lexicographically ordered list of matrices
 (a, b, c, d) with ad - bc = 1 mod p, so element indices are deterministic.
-A full N x N multiplication table is precomputed when N = p^3 - p is at
-most 4096 (p <= 13); above that, products are computed on the fly from
-matrix entries in chunks.  Sets are ``GroupSet`` bitmasks over these
+Products go through the row action: row i of x*y is row i of x times y,
+so for a set Y one (p^2, |Y|) table of r*y over every row r turns each
+product x*y into two row gathers and an add, giving the packed key
+row1 * p^2 + row2 with no per-product arithmetic mod p.  When N = p^3 - p
+is at most 4096 (p <= 13) the kernel fills a full N x N multiplication
+table, built in row chunks, and product sets gather from it; above that,
+product sets mark packed keys in a p^4 bool array, chunk by chunk, and
+read members back by key.  Sets are ``GroupSet`` bitmasks over these
 element indices, the same set type the Abelian engine uses.
 
 Verified statements: the Ruzsa triangle inequality (with its
@@ -59,9 +64,14 @@ class SL2Group:
         self.order = order
         self.elements = elements
         self._E = np.array(elements, dtype=np.int64)
+        # Each row (u, v) of a matrix is indexed u * p + v, so an element's
+        # packed key is row1 * p^2 + row2; keys below p^4 fit the key dtype.
+        self._row1 = self._E[:, 0] * p + self._E[:, 1]
+        self._row2 = self._E[:, 2] * p + self._E[:, 3]
+        self._key_dtype = np.int32 if p**4 <= np.iinfo(np.int32).max else np.int64
+        self._keys = self._pack(self._E)
         lut = np.full(p**4, -1, dtype=np.int32)
-        keys = self._pack(self._E)
-        lut[keys] = np.arange(order, dtype=np.int32)
+        lut[self._keys] = np.arange(order, dtype=np.int32)
         self._lut = lut
         adj = np.column_stack(
             [self._E[:, 3], -self._E[:, 1], -self._E[:, 2], self._E[:, 0]]
@@ -78,32 +88,48 @@ class SL2Group:
         p = self.p
         return ((a * p + b) * p + c) * p + d
 
+    def _row_action(self, iy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tables of the row index of r * y, for every row r and y in iy.
+
+        Both have shape (p^2, len(iy)); the first is scaled by p^2, so the
+        key of x * y is ``hi[row1(x), j] + lo[row2(x), j]``.  Costs
+        p^2 * len(iy) arithmetic, independent of the other operand.
+        """
+        p = self.p
+        ey = self._E[iy]
+        u, v = np.divmod(np.arange(p * p, dtype=np.int64), p)
+        first = (np.multiply.outer(u, ey[:, 0]) + np.multiply.outer(v, ey[:, 2])) % p
+        second = (np.multiply.outer(u, ey[:, 1]) + np.multiply.outer(v, ey[:, 3])) % p
+        lo = (first * p + second).astype(self._key_dtype)
+        return lo * (p * p), lo
+
+    def _product_keys(self, ix: np.ndarray, act: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Packed keys of x * y for x in ix (rows) and the y of ``act``."""
+        hi, lo = act
+        keys = hi[self._row1[ix]]
+        keys += lo[self._row2[ix]]
+        return keys
+
     def _build_table(self) -> np.ndarray:
         n = self.order
-        return self._products(np.arange(n), np.arange(n))
-
-    def _products(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        """Index matrix of x*y for x in ix (rows) and y in iy (columns)."""
-        p = self.p
-        ex = self._E[ix]
-        ey = self._E[iy]
-        a1, b1, c1, d1 = (ex[:, j][:, None] for j in range(4))
-        a2, b2, c2, d2 = (ey[:, j][None, :] for j in range(4))
-        a = (a1 * a2 + b1 * c2) % p
-        b = (a1 * b2 + b1 * d2) % p
-        c = (c1 * a2 + d1 * c2) % p
-        d = (c1 * b2 + d1 * d2) % p
-        return self._lut[((a * p + b) * p + c) * p + d]
+        table = np.empty((n, n), dtype=np.int32)
+        act = self._row_action(np.arange(n))
+        step = max(1, _CHUNK_CELLS // n)
+        for start in range(0, n, step):
+            keys = self._product_keys(np.arange(start, min(n, start + step)), act)
+            table[start : start + step] = self._lut[keys]
+        return table
 
     def product_indices(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        """Index matrix of x*y for x in ix (rows) and y in iy (columns)."""
         if self.table is not None:
             return self.table[np.ix_(ix, iy)]
-        return self._products(ix, iy)
+        return self._lut[self._product_keys(ix, self._row_action(iy))]
 
     def mul(self, i: int, j: int) -> int:
         if self.table is not None:
             return int(self.table[i, j])
-        return int(self._products(np.array([i]), np.array([j]))[0, 0])
+        return int(self.product_indices(np.array([i]), np.array([j]))[0, 0])
 
     def index(self, mat: Sequence[int]) -> int:
         if len(mat) != 4:
@@ -128,9 +154,19 @@ class SL2Group:
 
 
 @lru_cache(maxsize=32)
-def sl2_group(p: int) -> SL2Group:
-    """Shared immutable group instance for a given p."""
+def _cached_group(p: int) -> SL2Group:
     return SL2Group(p)
+
+
+def sl2_group(p: int) -> SL2Group:
+    """Shared immutable group instance for a given p.
+
+    The order cap is checked on every call, so a group cached under a
+    higher cap is refused once the cap is lowered.
+    """
+    group = _cached_group(p)
+    check_order(group.order, "SL2 group order")
+    return group
 
 
 SL2Set = GroupSet  # the one set type, under the name SL2 callers know
@@ -150,12 +186,24 @@ def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
     g = x.group
     if x.card == 0 or y.card == 0:
         return GroupSet.empty(g)
+    if is_cover(x) or is_cover(y):
+        return GroupSet.full(g)  # G absorbs under products with nonempty sets
     ix = _index_array(x)
     iy = _index_array(y)
-    out = np.zeros(g.order, dtype=bool)
-    step = max(1, _CHUNK_CELLS // max(1, len(iy)))
+    step = max(1, _CHUNK_CELLS // len(iy))
+    if g.table is not None:
+        out = np.zeros(g.order, dtype=bool)
+        for lo in range(0, len(ix), step):
+            out[g.product_indices(ix[lo : lo + step], iy)] = True
+            if out.all():
+                break
+        return GroupSet(g, _bits_from_bool(out))
+    # Without a table, mark packed keys and read members back by key.
+    act = g._row_action(iy)
+    hit = np.zeros(g.p**4, dtype=bool)
     for lo in range(0, len(ix), step):
-        out[g.product_indices(ix[lo : lo + step], iy).ravel()] = True
+        hit[g._product_keys(ix[lo : lo + step], act)] = True
+        out = hit[g._keys]
         if out.all():
             break
     return GroupSet(g, _bits_from_bool(out))

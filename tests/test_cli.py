@@ -69,6 +69,12 @@ def test_order_cap_flag_scoped_to_its_run(capsys):
     assert order_cap() == cap
 
 
+def test_cached_sl2_group_respects_lowered_cap(capsys):
+    assert cli.run(["sl2", "info", "--p", "11"]) == 0
+    assert cli.run(["sl2", "info", "--p", "11", "--order-cap", "100"]) == 2
+    assert "above the cap of 100" in capsys.readouterr().err
+
+
 def test_order_cap_env_var():
     env = dict(os.environ, SUMSETLAB_ORDER_CAP="100")
     proc = subprocess.run(

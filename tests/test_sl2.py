@@ -1,10 +1,13 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import naive_sl2_elements, naive_sl2_mul, naive_sl2_product_set
+from sumsetlab import sl2
 from sumsetlab.sl2 import (
     SL2Group,
     SL2Set,
@@ -76,11 +79,37 @@ def test_associativity_random():
         assert g.mul(g.mul(i, j), k) == g.mul(i, g.mul(j, k))
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_table_matches_naive_exhaustive(p):
+    g = sl2_group(p)
+    els = g.elements
+    got = [[els[k] for k in row] for row in g.table.tolist()]
+    assert got == [[naive_sl2_mul(p, x, y) for y in els] for x in els]
+
+
+def test_mul_without_table_matches_naive():
+    g = sl2_group(17)
+    rng = random.Random(9)
+    for _ in range(200):
+        i, j = rng.randrange(g.order), rng.randrange(g.order)
+        assert g.elements[g.mul(i, j)] == naive_sl2_mul(17, g.elements[i], g.elements[j])
+
+
 def test_table_cap():
     assert sl2_group(13).table is not None  # order 2184
     assert sl2_group(17).table is None  # order 4896
     with pytest.raises(ValueError):
         sl2_group(9)
+
+
+def test_table_build_memory_bounded():
+    tracemalloc.start()
+    try:
+        g = SL2Group(13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * g.table.nbytes
 
 
 def test_group_equality_and_index():
@@ -151,6 +180,53 @@ def test_product_set_no_table_path():
     )
 
 
+def _operand(g, data, max_random):
+    kind = data.draw(st.sampled_from(["empty", "singleton", "full", "random"]))
+    if kind == "empty":
+        return SL2Set.empty(g)
+    if kind == "full":
+        return SL2Set.full(g)
+    if kind == "singleton":
+        return SL2Set.from_indices(g, [data.draw(st.integers(0, g.order - 1))])
+    size = data.draw(st.integers(2, max_random))
+    seed = data.draw(st.integers(0, 2**32))
+    return SL2Set.from_indices(g, random.Random(seed).sample(range(g.order), size))
+
+
+@pytest.mark.parametrize("p,max_random", [(5, 120), (17, 40)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_product_set_differential(p, max_random, data):
+    """Table (p=5) and no-table (p=17) paths against the naive oracle, with
+    chunks of a few rows so that the chunk loop and its early exit run."""
+    g = sl2_group(p)
+    x = _operand(g, data, max_random)
+    y = _operand(g, data, max_random)
+    assume(x.card * y.card <= 200_000)  # keeps the naive oracle fast
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sl2, "_CHUNK_CELLS", data.draw(st.sampled_from([1, 64, 1000])))
+        got = product_set(x, y)
+    assert frozenset(got.coords()) == naive_sl2_product_set(p, x.coords(), y.coords())
+
+
+def test_product_set_no_table_exits_when_full(monkeypatch):
+    g = sl2_group(17)
+    rng = random.Random(10)
+    x = SL2Set.from_indices(g, rng.sample(range(g.order), 600))
+    y = SL2Set.from_indices(g, rng.sample(range(g.order), 600))
+    chunks = []
+    product_keys = SL2Group._product_keys
+
+    def counted(self, ix, act):
+        chunks.append(len(ix))
+        return product_keys(self, ix, act)
+
+    monkeypatch.setattr(sl2, "_CHUNK_CELLS", 600 * 10)  # 10 rows a chunk
+    monkeypatch.setattr(SL2Group, "_product_keys", counted)
+    assert is_cover(product_set(x, y))
+    assert 1 < len(chunks) < 60
+
+
 def test_product_set_not_commutative():
     g = sl2_group(5)
     x = SL2Set.from_coords(g, [(1, 1, 0, 1)])
@@ -201,6 +277,22 @@ def test_ruzsa_seeded_trials(p):
         # small enough that the representation count is always verified
         assert all(r.count_checked for r in reports)
         assert all(r.count_ok for r in reports)
+
+
+def test_ruzsa_representation_count_without_table():
+    g = sl2_group(17)
+    rng = random.Random(11)
+    a, b, c = (SL2Set.from_indices(g, rng.sample(range(g.order), 12)) for _ in range(3))
+    r = check_ruzsa(a, b, c)
+
+    def inv(s):
+        return [(d, -bb % 17, -cc % 17, aa) for aa, bb, cc, d in s.coords()]
+
+    ab = naive_sl2_product_set(17, a.coords(), inv(b))
+    bc = naive_sl2_product_set(17, b.coords(), inv(c))
+    reps = Counter(naive_sl2_mul(17, x, y) for x in ab for y in bc)
+    ac = naive_sl2_product_set(17, a.coords(), inv(c))
+    assert r.count_checked and r.min_representations == min(reps[z] for z in ac)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +460,13 @@ def test_sl2_json_round_trips():
     a = SL2Set.from_indices(g, rng.sample(range(120), 33))
     for form in ("elements", "bitmask"):
         assert set_from_json(g, set_to_json(a, form=form)) == a
+
+
+def test_sl2_json_rejects_unreduced_entries():
+    g = sl2_group(7)
+    with pytest.raises(ValueError, match="out of range"):
+        set_from_json(g, {"elements": [[8, 0, 0, 1]]})
+    assert set_from_json(g, {"elements": [[1, 0, 0, 1]]}) == SL2Set.identity(g)
 
 
 def test_sl2_json_errors():
