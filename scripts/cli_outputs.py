@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Capture the CLI's output on a fixed set of commands, for diffing two checkouts.
+
+Usage: python scripts/cli_outputs.py OUTDIR
+
+Writes the set files ``a.json`` and ``b.json`` into OUTDIR, then runs, in
+this process through ``sumsetlab.cli.run``:
+
+* every ``sumsetlab ...`` command of the README's command-line section;
+* ``sl2 ruzsa``, ``sl2 gowers`` and ``sl2 theorem4`` at p = 13 and 17;
+
+each once with ``--seed 0`` and once with ``--seed 1``.  Each run leaves one
+file in OUTDIR holding its exit code on the first line and then its JSON
+envelope, with the ``wall_time_s`` value masked.  Two checkouts behave the
+same on these commands when ``diff -r`` over their OUTDIRs prints nothing.
+The set files are read by relative path, so the envelopes do not depend on
+where OUTDIR is.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import re
+import shlex
+from pathlib import Path
+
+from sumsetlab import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SET_FILES = {
+    "a.json": {"elements": [[0, 0], [1, 2], [5, 9], [3, 4]]},
+    "b.json": {"elements": [[0, 1], [2, 0], [4, 7]]},
+}
+SL2_COMMANDS = [
+    "sl2 ruzsa --p 13 --trials 3",
+    "sl2 gowers --p 13 --size 600 --trials 2",
+    "sl2 theorem4 --p 13 --trials 1",
+    "sl2 ruzsa --p 17 --trials 3",
+    "sl2 gowers --p 17 --size 1500 --trials 2",
+    "sl2 theorem4 --p 17 --trials 1",
+]
+_WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
+
+
+def readme_commands() -> list[str]:
+    """The README's ``sumsetlab ...`` lines, without the program name."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [m.group(1) for m in re.finditer(r"^sumsetlab (.+)$", section, re.M)]
+
+
+def capture(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return f"{code}\n" + _WALL_TIME.sub('"wall_time_s": "masked"', out.getvalue())
+
+
+def main(outdir: Path) -> int:
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, payload in SET_FILES.items():
+        (outdir / name).write_text(json.dumps(payload), encoding="utf-8")
+    commands = readme_commands() + SL2_COMMANDS
+    with contextlib.chdir(outdir):
+        for i, command in enumerate(commands):
+            for seed in (0, 1):
+                argv = [*shlex.split(command), "--seed", str(seed)]
+                words = command.split(" --", 1)[0].replace(" ", "-")
+                name = f"{i:02d}-{words}-seed{seed}.txt"
+                Path(name).write_text(capture(argv), encoding="utf-8")
+    print(f"wrote {2 * len(commands)} outputs for {len(commands)} commands to {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("outdir", type=Path, help="directory for the set files and outputs")
+    raise SystemExit(main(parser.parse_args().outdir))

@@ -201,7 +201,6 @@ def _cmd_sl2_info(args) -> tuple[bool, dict, Any]:
     report: dict = {
         "p": g.p,
         "order": g.order,
-        "table_built": g.table is not None,
         "D": None,
         "delta": None,
         "K": None,

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .groups import GroupSpec, check_index, decode, encode
 
 if TYPE_CHECKING:
@@ -26,22 +28,20 @@ if TYPE_CHECKING:
 # on-the-fly construction.
 _MASK_CACHE_BYTES = 32 << 20
 
-_BYTE_BITS = [tuple(j for j in range(8) if (v >> j) & 1) for v in range(256)]
-
 
 class SpecMismatchError(ValueError):
     """Operands live over different group specs."""
 
 
-def _bit_indices(bits: int, nbytes: int) -> list[int]:
-    out: list[int] = []
-    if bits == 0:
-        return out
-    for i, byte in enumerate(bits.to_bytes(nbytes, "little")):
-        if byte:
-            base = i << 3
-            out.extend(base + j for j in _BYTE_BITS[byte])
-    return out
+def _bit_indices(bits: int, nbytes: int) -> np.ndarray:
+    """Ascending indices of the set bits of an ``nbytes``-byte bitmask."""
+    raw = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+def _bits_from_bool(mask: np.ndarray) -> int:
+    """The bitmask whose bit i is ``mask[i]``; the inverse of ``_bit_indices``."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 class _Axis:
@@ -154,7 +154,7 @@ class GroupSet:
         return cls.from_indices(group, (group.index(c) for c in coords))
 
     def indices(self) -> list[int]:
-        return _bit_indices(self.bits, (self.group.order + 7) >> 3)
+        return _bit_indices(self.bits, (self.group.order + 7) >> 3).tolist()
 
     def coords(self) -> list[tuple[int, ...]]:
         return [self.group.element(x) for x in self.indices()]
@@ -235,7 +235,7 @@ def _sum_bits(spec: GroupSpec, xbits: int, ybits: int) -> int:
         xbits, ybits = ybits, xbits
     kern = _kernel(spec)
     acc = 0
-    for g in _bit_indices(xbits, kern.nbytes):
+    for g in _bit_indices(xbits, kern.nbytes).tolist():
         acc |= kern.translate(ybits, decode(spec, g))
         if acc == kern.full:
             break

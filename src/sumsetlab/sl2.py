@@ -5,12 +5,11 @@ The group is materialized as a lexicographically ordered list of matrices
 Products go through the row action: row i of x*y is row i of x times y,
 so for a set Y one (p^2, |Y|) table of r*y over every row r turns each
 product x*y into two row gathers and an add, giving the packed key
-row1 * p^2 + row2 with no per-product arithmetic mod p.  When N = p^3 - p
-is at most 4096 (p <= 13) the kernel fills a full N x N multiplication
-table, built in row chunks, and product sets gather from it; above that,
-product sets mark packed keys in a p^4 bool array, chunk by chunk, and
-read members back by key.  Sets are ``GroupSet`` bitmasks over these
-element indices, the same set type the Abelian engine uses.
+row1 * p^2 + row2 with no per-product arithmetic mod p.  Product sets mark
+packed keys in a p^4 bool array, a few rows of X at a time, read members
+back by key, and stop once the product is all of G.  Sets are
+``GroupSet`` bitmasks over these element indices, the same set type the
+Abelian engine uses.
 
 Verified statements: the Ruzsa triangle inequality (with its
 representation-count proof on small instances), triple-product covering in
@@ -32,15 +31,16 @@ from .config import check_order
 from .constructions import SearchBudgetError
 from .groups import is_prime
 from .reports import Report, map_trials
-from .setops import GroupSet, _same_spec, is_cover
+from .setops import GroupSet, _bit_indices, _bits_from_bool, _same_spec, is_cover
 
-TABLE_CAP = 4096
-_CHUNK_CELLS = 1 << 22
+_CHUNK_CELLS = 1 << 16
 REL_GUARD = 1e-9
 
 
 class SL2Group:
     """Enumerated SL2(Z_p) with index-based multiplication and inversion."""
+
+    table = None  # no multiplication table is stored; perfbench/ still reads this
 
     def __init__(self, p: int):
         p = int(p)
@@ -70,6 +70,9 @@ class SL2Group:
         self._row2 = self._E[:, 2] * p + self._E[:, 3]
         self._key_dtype = np.int32 if p**4 <= np.iinfo(np.int32).max else np.int64
         self._keys = self._pack(self._E)
+        # _reduce[x * 2p + y] = (x mod p) * p + (y mod p) for x, y < 2p.
+        q = np.arange(2 * p, dtype=self._key_dtype) % p
+        self._reduce = (q[:, None] * p + q).ravel()
         lut = np.full(p**4, -1, dtype=np.int32)
         lut[self._keys] = np.arange(order, dtype=np.int32)
         self._lut = lut
@@ -78,7 +81,6 @@ class SL2Group:
         ) % p
         self.inv = lut[self._pack(adj)]
         self.identity = int(lut[self._pack_one(1, 0, 0, 1)])
-        self.table = self._build_table() if order <= TABLE_CAP else None
 
     def _pack(self, rows: np.ndarray) -> np.ndarray:
         p = self.p
@@ -93,14 +95,18 @@ class SL2Group:
 
         Both have shape (p^2, len(iy)); the first is scaled by p^2, so the
         key of x * y is ``hi[row1(x), j] + lo[row2(x), j]``.  Costs
-        p^2 * len(iy) arithmetic, independent of the other operand.
+        p^2 * len(iy) arithmetic, independent of the other operand.  Row
+        (u, v) times (a, b, c, d) is (ua + vc, ub + vd) mod p.  Only the
+        four (p, len(iy)) products are reduced mod p; both sums are then
+        below 2p, so they are packed in base 2p and one gather from
+        ``_reduce`` reduces the pair.
         """
         p = self.p
-        ey = self._E[iy]
-        u, v = np.divmod(np.arange(p * p, dtype=np.int64), p)
-        first = (np.multiply.outer(u, ey[:, 0]) + np.multiply.outer(v, ey[:, 2])) % p
-        second = (np.multiply.outer(u, ey[:, 1]) + np.multiply.outer(v, ey[:, 3])) % p
-        lo = (first * p + second).astype(self._key_dtype)
+        ey = self._E[iy].astype(self._key_dtype)
+        ua, ub, vc, vd = (ey.T[:, None, :] * np.arange(p, dtype=self._key_dtype)[:, None]) % p
+        u = ua * (2 * p) + ub
+        v = vc * (2 * p) + vd
+        lo = np.take(self._reduce, (u[:, None] + v[None, :]).reshape(p * p, len(iy)))
         return lo * (p * p), lo
 
     def _product_keys(self, ix: np.ndarray, act: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -110,25 +116,11 @@ class SL2Group:
         keys += lo[self._row2[ix]]
         return keys
 
-    def _build_table(self) -> np.ndarray:
-        n = self.order
-        table = np.empty((n, n), dtype=np.int32)
-        act = self._row_action(np.arange(n))
-        step = max(1, _CHUNK_CELLS // n)
-        for start in range(0, n, step):
-            keys = self._product_keys(np.arange(start, min(n, start + step)), act)
-            table[start : start + step] = self._lut[keys]
-        return table
-
     def product_indices(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         """Index matrix of x*y for x in ix (rows) and y in iy (columns)."""
-        if self.table is not None:
-            return self.table[np.ix_(ix, iy)]
         return self._lut[self._product_keys(ix, self._row_action(iy))]
 
     def mul(self, i: int, j: int) -> int:
-        if self.table is not None:
-            return int(self.table[i, j])
         return int(self.product_indices(np.array([i]), np.array([j]))[0, 0])
 
     def index(self, mat: Sequence[int]) -> int:
@@ -172,12 +164,8 @@ def sl2_group(p: int) -> SL2Group:
 SL2Set = GroupSet  # the one set type, under the name SL2 callers know
 
 
-def _bits_from_bool(out: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
-
-
 def _index_array(x: GroupSet) -> np.ndarray:
-    return np.array(x.indices(), dtype=np.int64)
+    return _bit_indices(x.bits, (x.group.order + 7) >> 3)
 
 
 def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
@@ -191,14 +179,6 @@ def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
     ix = _index_array(x)
     iy = _index_array(y)
     step = max(1, _CHUNK_CELLS // len(iy))
-    if g.table is not None:
-        out = np.zeros(g.order, dtype=bool)
-        for lo in range(0, len(ix), step):
-            out[g.product_indices(ix[lo : lo + step], iy)] = True
-            if out.all():
-                break
-        return GroupSet(g, _bits_from_bool(out))
-    # Without a table, mark packed keys and read members back by key.
     act = g._row_action(iy)
     hit = np.zeros(g.p**4, dtype=bool)
     for lo in range(0, len(ix), step):
@@ -270,9 +250,10 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet, count_limit: int = _COUNT
         counts = np.zeros(g.order, dtype=np.int64)
         ix = _index_array(ab)
         iy = _index_array(bc)
+        act = g._row_action(iy)
         step = max(1, _CHUNK_CELLS // max(1, len(iy)))
         for lo in range(0, len(ix), step):
-            prods = g.product_indices(ix[lo : lo + step], iy).ravel()
+            prods = g._lut[g._product_keys(ix[lo : lo + step], act)].ravel()
             counts += np.bincount(prods, minlength=g.order)
         min_reps = int(counts[_index_array(ac)].min())
         count_ok = min_reps >= b.card

@@ -148,6 +148,7 @@ def test_sl2_info(capsys):
     assert rep["report"]["order"] == 1320
     assert rep["report"]["D"] == 5
     assert rep["report"]["K"] == 4
+    assert "table_built" not in rep["report"]
 
 
 def test_kpn_exact(capsys):

@@ -1,9 +1,11 @@
-"""Smoke tests for the experiment scripts under ``scripts/``.
+"""Smoke tests for the scripts under ``scripts/``.
 
 Each script runs in process on a small input, as ``python scripts/<name>``
-would run it, and must exit 0 and print its table header.
+would run it, and must exit 0.  The experiment scripts must print their
+table header; ``cli_outputs.py`` must write one masked envelope per run.
 """
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -34,13 +36,26 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ],
 )
 def test_script_runs(script, args, header, monkeypatch, capsys):
+    assert _run(script, args, monkeypatch) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert header in [line.split() for line in lines]
+
+
+def test_cli_outputs_writes_masked_envelopes(tmp_path, monkeypatch):
+    assert _run("cli_outputs.py", [str(tmp_path)], monkeypatch) == 0
+    outputs = sorted(tmp_path.glob("*-seed[01].txt"))
+    assert len(outputs) == 34  # 11 README commands and 6 SL2 runs, at two seeds
+    for out in outputs:
+        code, envelope = out.read_text(encoding="utf-8").split("\n", 1)
+        assert code == "0"
+        assert json.loads(envelope)["wall_time_s"] == "masked"
+
+
+def _run(script, args, monkeypatch):
     path = SCRIPTS / script
     monkeypatch.setattr(sys, "argv", [str(path), *args])
-    code = 0
     try:
         runpy.run_path(str(path), run_name="__main__")
     except SystemExit as exc:
-        code = exc.code or 0
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert header in [line.split() for line in lines]
+        return exc.code or 0
+    return 0

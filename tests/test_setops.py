@@ -71,7 +71,9 @@ def test_bitmask_validation():
 def test_card_tracks_population_count():
     spec = GroupSpec((3, 3))
     for bits in range(1 << 9):
-        assert GroupSet(spec, bits).card == bin(bits).count("1")
+        a = GroupSet(spec, bits)
+        assert a.card == bin(bits).count("1")
+        assert a.indices() == [i for i in range(9) if bits >> i & 1]
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,8 @@ def test_associativity_random():
 def test_table_matches_naive_exhaustive(p):
     g = sl2_group(p)
     els = g.elements
-    got = [[els[k] for k in row] for row in g.table.tolist()]
+    every = np.arange(g.order)
+    got = [[els[k] for k in row] for row in g.product_indices(every, every).tolist()]
     assert got == [[naive_sl2_mul(p, x, y) for y in els] for x in els]
 
 
@@ -95,21 +96,19 @@ def test_mul_without_table_matches_naive():
         assert g.elements[g.mul(i, j)] == naive_sl2_mul(17, g.elements[i], g.elements[j])
 
 
-def test_table_cap():
-    assert sl2_group(13).table is not None  # order 2184
-    assert sl2_group(17).table is None  # order 4896
+def test_sl2_group_rejects_non_prime():
     with pytest.raises(ValueError):
         sl2_group(9)
 
 
-def test_table_build_memory_bounded():
+def test_group_build_memory_bounded():
     tracemalloc.start()
     try:
-        g = SL2Group(13)
+        SL2Group(13)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * g.table.nbytes
+    assert peak <= 1 << 20
 
 
 def test_group_equality_and_index():
@@ -197,8 +196,8 @@ def _operand(g, data, max_random):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_product_set_differential(p, max_random, data):
-    """Table (p=5) and no-table (p=17) paths against the naive oracle, with
-    chunks of a few rows so that the chunk loop and its early exit run."""
+    """Product sets at p=5 and p=17 against the naive oracle, with chunks
+    of a few rows so that the chunk loop and its early exit run."""
     g = sl2_group(p)
     x = _operand(g, data, max_random)
     y = _operand(g, data, max_random)
@@ -225,6 +224,23 @@ def test_product_set_no_table_exits_when_full(monkeypatch):
     monkeypatch.setattr(SL2Group, "_product_keys", counted)
     assert is_cover(product_set(x, y))
     assert 1 < len(chunks) < 60
+
+
+def test_product_set_exits_early_at_default_chunk(monkeypatch):
+    g = sl2_group(17)
+    rng = random.Random(12)
+    x = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
+    y = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
+    rows = []
+    product_keys = SL2Group._product_keys
+
+    def counted(self, ix, act):
+        rows.append(len(ix))
+        return product_keys(self, ix, act)
+
+    monkeypatch.setattr(SL2Group, "_product_keys", counted)
+    assert is_cover(product_set(x, y))
+    assert sum(rows) < 375  # a quarter of X: the loop stops once XY = G
 
 
 def test_product_set_not_commutative():
@@ -279,11 +295,22 @@ def test_ruzsa_seeded_trials(p):
         assert all(r.count_ok for r in reports)
 
 
-def test_ruzsa_representation_count_without_table():
+@pytest.mark.parametrize("chunk_cells", [1, 64, sl2._CHUNK_CELLS])
+def test_ruzsa_representation_count_without_table(chunk_cells, monkeypatch):
     g = sl2_group(17)
     rng = random.Random(11)
     a, b, c = (SL2Set.from_indices(g, rng.sample(range(g.order), 12)) for _ in range(3))
+    actions = []
+    row_action = SL2Group._row_action
+
+    def counted(self, iy):
+        actions.append(len(iy))
+        return row_action(self, iy)
+
+    monkeypatch.setattr(sl2, "_CHUNK_CELLS", chunk_cells)
+    monkeypatch.setattr(SL2Group, "_row_action", counted)
     r = check_ruzsa(a, b, c)
+    assert len(actions) == 4  # AC^-1, AB^-1, BC^-1, then once for the count
 
     def inv(s):
         return [(d, -bb % 17, -cc % 17, aa) for aa, bb, cc, d in s.coords()]
