@@ -3,11 +3,14 @@
 The group is materialized as a lexicographically ordered list of matrices
 (a, b, c, d) with ad - bc = 1 mod p, so element indices are deterministic.
 Products go through the row action: row i of x*y is row i of x times y,
-so for a set Y one (p^2, |Y|) table of r*y over every row r turns each
+so for a set Y a (p^2, |Y|) table of r*y over the rows r turns each
 product x*y into two row gathers and an add, giving the packed key
 row1 * p^2 + row2 with no per-product arithmetic mod p.  Product sets mark
 packed keys in a p^4 bool array, a few rows of X at a time, read members
-back by key, and stop once the product is all of G.  Sets are
+back by key, and stop once the product is all of G.  Rows of the table are
+filled on demand: each chunk of X fills the rows its elements use that no
+earlier chunk filled, so a product that covers G after its first chunk
+computes only the rows that chunk used.  Sets are
 ``GroupSet`` bitmasks over these element indices, the same set type the
 Abelian engine uses.
 
@@ -23,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .groups import is_prime
 from .reports import Report, map_trials
 from .setops import GroupSet, _bit_indices, _bits_from_bool, _same_spec, is_cover
 
-_CHUNK_CELLS = 1 << 16
+_CHUNK_CELLS = 1 << 14
 REL_GUARD = 1e-9
 
 
@@ -73,6 +76,10 @@ class SL2Group:
         # _reduce[x * 2p + y] = (x mod p) * p + (y mod p) for x, y < 2p.
         q = np.arange(2 * p, dtype=self._key_dtype) % p
         self._reduce = (q[:, None] * p + q).ravel()
+        # _half[u, a * p + b] = (ua mod p) * 2p + (ub mod p): the row (a, b)
+        # scaled by u, reduced mod p and packed in base 2p.
+        m = np.outer(q[:p], q[:p]) % p
+        self._half = (m[:, :, None] * (2 * p) + m[:, None, :]).reshape(p, p * p)
         lut = np.full(p**4, -1, dtype=np.int32)
         lut[self._keys] = np.arange(order, dtype=np.int32)
         self._lut = lut
@@ -90,35 +97,13 @@ class SL2Group:
         p = self.p
         return ((a * p + b) * p + c) * p + d
 
-    def _row_action(self, iy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tables of the row index of r * y, for every row r and y in iy.
-
-        Both have shape (p^2, len(iy)); the first is scaled by p^2, so the
-        key of x * y is ``hi[row1(x), j] + lo[row2(x), j]``.  Costs
-        p^2 * len(iy) arithmetic, independent of the other operand.  Row
-        (u, v) times (a, b, c, d) is (ua + vc, ub + vd) mod p.  Only the
-        four (p, len(iy)) products are reduced mod p; both sums are then
-        below 2p, so they are packed in base 2p and one gather from
-        ``_reduce`` reduces the pair.
-        """
-        p = self.p
-        ey = self._E[iy].astype(self._key_dtype)
-        ua, ub, vc, vd = (ey.T[:, None, :] * np.arange(p, dtype=self._key_dtype)[:, None]) % p
-        u = ua * (2 * p) + ub
-        v = vc * (2 * p) + vd
-        lo = np.take(self._reduce, (u[:, None] + v[None, :]).reshape(p * p, len(iy)))
-        return lo * (p * p), lo
-
-    def _product_keys(self, ix: np.ndarray, act: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Packed keys of x * y for x in ix (rows) and the y of ``act``."""
-        hi, lo = act
-        keys = hi[self._row1[ix]]
-        keys += lo[self._row2[ix]]
-        return keys
+    def _row_action(self, iy: np.ndarray) -> _RowAction:
+        """Products x * y for y in iy, as packed keys; see ``_RowAction``."""
+        return _RowAction(self, iy)
 
     def product_indices(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         """Index matrix of x*y for x in ix (rows) and y in iy (columns)."""
-        return self._lut[self._product_keys(ix, self._row_action(iy))]
+        return self._lut[self._row_action(iy).keys(ix)]
 
     def mul(self, i: int, j: int) -> int:
         return int(self.product_indices(np.array([i]), np.array([j]))[0, 0])
@@ -143,6 +128,81 @@ class SL2Group:
 
     def __repr__(self) -> str:
         return f"SL2Group(p={self.p}, order={self.order})"
+
+
+class _RowAction:
+    """Packed keys of x * y for every y of a fixed right operand Y.
+
+    Row (u, v) times y = (a, b, c, d) is (ua + vc, ub + vd) mod p.  The two
+    (p, |Y|) half-tables are columns of ``SL2Group._half``: ``u[u, j]``
+    packs (ua, ub) mod p in base 2p, and ``v[v, j]`` packs (vc, vd).  Both
+    sums are below 2p, so the image of row (u, v) is ``u[u] + v[v]`` and
+    one gather from ``_reduce``.  A filled row r sits at ``slot[r]`` of
+    ``lo`` (the row index of r * y_j) and ``hi`` (the same times p^2), so
+    the key of x * y_j is ``hi[slot[row1(x)], j] + lo[slot[row2(x)], j]``:
+    two row gathers and an add per product.  Rows are filled when a chunk
+    of X first uses them, so a product that covers G after its first chunk
+    computes only the rows that chunk used, and the table's untouched
+    memory is never written.
+    """
+
+    __slots__ = ("g", "u", "v", "lo", "hi", "slot", "unfilled")
+
+    def __init__(self, g: SL2Group, iy: np.ndarray):
+        self.g = g
+        self.u = g._half[:, g._row1[iy]]
+        self.v = g._half[:, g._row2[iy]]
+        self.lo = self.hi = self.slot = None
+        self.unfilled = g.p**2 - 1  # row (0, 0) is a row of no matrix in G
+
+    def chunks(self, ix: np.ndarray) -> Iterator[np.ndarray]:
+        """Keys of x * y for x in ix, at most ``_CHUNK_CELLS`` cells a chunk."""
+        step = max(1, _CHUNK_CELLS // self.u.shape[1])
+        if len(ix) <= step:
+            self.fill()  # one chunk has no early exit to gain from
+        for lo in range(0, len(ix), step):
+            yield self.keys(ix[lo : lo + step])
+
+    def fill(self) -> None:
+        """Fill every row at once, without the bookkeeping of a lazy fill."""
+        if self.unfilled:
+            p = self.g.p
+            pairs = (self.u[:, None] + self.v[None, :]).reshape(p * p, -1)
+            self.lo = np.take(self.g._reduce, pairs)
+            self.hi = self.lo * (p * p)
+            self.slot = np.arange(p * p)
+            self.unfilled = 0
+
+    def keys(self, ix: np.ndarray) -> np.ndarray:
+        """Keys of x * y for x in ix (rows), filling the rows they use."""
+        r1 = self.g._row1[ix]
+        r2 = self.g._row2[ix]
+        if self.unfilled:
+            self._fill(np.concatenate((r1, r2)))
+        keys = self.hi[self.slot[r1]]
+        keys += self.lo[self.slot[r2]]
+        return keys
+
+    def _fill(self, rows: np.ndarray) -> None:
+        p = self.g.p
+        if self.slot is None:
+            self.lo = np.empty((p * p, self.u.shape[1]), dtype=self.u.dtype)
+            self.hi = np.empty_like(self.lo)
+            self.slot = np.full(p * p, -1)
+        rows = rows[self.slot[rows] < 0]
+        if len(rows) == 0:
+            return
+        rows = np.unique(rows)
+        start = p * p - 1 - self.unfilled
+        stop = start + len(rows)
+        self.slot[rows] = np.arange(start, stop)
+        self.unfilled -= len(rows)
+        pairs = self.u[rows // p]
+        pairs += self.v[rows % p]
+        # Every index is below len(_reduce); mode="wrap" only spares the
+        # copy that take makes of ``out`` under the default mode="raise".
+        lo = np.take(self.g._reduce, pairs, out=self.lo[start:stop], mode="wrap")
+        np.multiply(lo, p * p, out=self.hi[start:stop])
 
 
 @lru_cache(maxsize=32)
@@ -178,11 +238,9 @@ def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
         return GroupSet.full(g)  # G absorbs under products with nonempty sets
     ix = _index_array(x)
     iy = _index_array(y)
-    step = max(1, _CHUNK_CELLS // len(iy))
-    act = g._row_action(iy)
     hit = np.zeros(g.p**4, dtype=bool)
-    for lo in range(0, len(ix), step):
-        hit[g._product_keys(ix[lo : lo + step], act)] = True
+    for keys in g._row_action(iy).chunks(ix):
+        hit[keys] = True
         out = hit[g._keys]
         if out.all():
             break
@@ -237,9 +295,10 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet, count_limit: int = _COUNT
     if b.card == 0:
         raise ValueError("B must be nonempty")
     g = a.group
-    ac = product_set(a, inverse_set(c))
+    c_inv = inverse_set(c)
+    ac = product_set(a, c_inv)
     ab = product_set(a, inverse_set(b))
-    bc = product_set(b, inverse_set(c))
+    bc = product_set(b, c_inv)
     inequality_ok = ac.card * b.card <= ab.card * bc.card
 
     count_checked = False
@@ -251,10 +310,9 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet, count_limit: int = _COUNT
         ix = _index_array(ab)
         iy = _index_array(bc)
         act = g._row_action(iy)
-        step = max(1, _CHUNK_CELLS // max(1, len(iy)))
-        for lo in range(0, len(ix), step):
-            prods = g._lut[g._product_keys(ix[lo : lo + step], act)].ravel()
-            counts += np.bincount(prods, minlength=g.order)
+        act.fill()  # the count visits every cell, so it uses every row
+        for keys in act.chunks(ix):
+            counts += np.bincount(g._lut[keys].ravel(), minlength=g.order)
         min_reps = int(counts[_index_array(ac)].min())
         count_ok = min_reps >= b.card
     return RuzsaReport(
@@ -377,13 +435,24 @@ class Theorem4Report(Report):
     passed: bool
 
 
+def _meets_floor(card, n: int, d: int):
+    """Whether card >= N^(1 - delta/3), in exact integers.
+
+    N^delta = D, so N^(1 - delta/3) = N / D^(1/3) and the floor holds
+    exactly when card^3 * D >= N^3.  ``card`` may be an int or an integer
+    array whose cubes times D fit its dtype.
+    """
+    return card**3 * d >= n**3
+
+
 def verify_theorem4(family: Sequence[GroupSet]) -> Theorem4Report:
     """Check the covering chain for 3K sets, K per block.
 
     Per set: the hypothesis A_i A_i^-1 = G.  Per block: the first set has
     |A|^2 >= N (exact integers), each prefix step satisfies
     sqrt(N * |prev|) <= |prev * A_i| (checked as card^2 >= N * prev), and
-    the block product reaches the N^(1 - delta/3) floor.  The three block
+    the block product reaches the N^(1 - delta/3) floor (checked as
+    card^3 * D >= N^3; ``floor`` is reported for display).  The three block
     products then cover G by the triple-product argument.
     """
     family = list(family)
@@ -431,7 +500,7 @@ def verify_theorem4(family: Sequence[GroupSet]) -> Theorem4Report:
                 "steps": steps,
                 "final_card": prefix.card,
                 "floor": floor,
-                "meets_floor": prefix.card >= floor * (1.0 - REL_GUARD),
+                "meets_floor": _meets_floor(prefix.card, n, info.D),
             }
         )
         block_products.append(prefix)
@@ -480,7 +549,9 @@ def random_sl2_set(group: SL2Group, size: int, rng: random.Random) -> GroupSet:
     size = int(size)
     if not 0 <= size <= group.order:
         raise ValueError(f"size {size} out of range for order {group.order}")
-    return GroupSet.from_indices(group, rng.sample(range(group.order), size))
+    mask = np.zeros(group.order, dtype=bool)
+    mask[rng.sample(range(group.order), size)] = True
+    return GroupSet(group, _bits_from_bool(mask))
 
 
 def sample_hypothesis_set(

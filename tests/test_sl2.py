@@ -208,20 +208,27 @@ def test_product_set_differential(p, max_random, data):
     assert frozenset(got.coords()) == naive_sl2_product_set(p, x.coords(), y.coords())
 
 
+def _count_chunk_rows(monkeypatch):
+    """Record the number of rows of X in each chunk that product_set keys."""
+    rows = []
+    chunks = sl2._RowAction.chunks
+
+    def counted(self, ix):
+        for keys in chunks(self, ix):
+            rows.append(len(keys))
+            yield keys
+
+    monkeypatch.setattr(sl2._RowAction, "chunks", counted)
+    return rows
+
+
 def test_product_set_no_table_exits_when_full(monkeypatch):
     g = sl2_group(17)
     rng = random.Random(10)
     x = SL2Set.from_indices(g, rng.sample(range(g.order), 600))
     y = SL2Set.from_indices(g, rng.sample(range(g.order), 600))
-    chunks = []
-    product_keys = SL2Group._product_keys
-
-    def counted(self, ix, act):
-        chunks.append(len(ix))
-        return product_keys(self, ix, act)
-
     monkeypatch.setattr(sl2, "_CHUNK_CELLS", 600 * 10)  # 10 rows a chunk
-    monkeypatch.setattr(SL2Group, "_product_keys", counted)
+    chunks = _count_chunk_rows(monkeypatch)
     assert is_cover(product_set(x, y))
     assert 1 < len(chunks) < 60
 
@@ -231,16 +238,28 @@ def test_product_set_exits_early_at_default_chunk(monkeypatch):
     rng = random.Random(12)
     x = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
     y = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
-    rows = []
-    product_keys = SL2Group._product_keys
-
-    def counted(self, ix, act):
-        rows.append(len(ix))
-        return product_keys(self, ix, act)
-
-    monkeypatch.setattr(SL2Group, "_product_keys", counted)
+    rows = _count_chunk_rows(monkeypatch)
     assert is_cover(product_set(x, y))
     assert sum(rows) < 375  # a quarter of X: the loop stops once XY = G
+
+
+def test_covering_product_fills_few_rows(monkeypatch):
+    """A covering product fills the row images only of rows its chunks used."""
+    g = sl2_group(17)
+    rng = random.Random(12)
+    x = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
+    y = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
+    actions = []
+    row_action = SL2Group._row_action
+
+    def kept(self, iy):
+        actions.append(row_action(self, iy))
+        return actions[-1]
+
+    monkeypatch.setattr(SL2Group, "_row_action", kept)
+    assert is_cover(product_set(x, y))
+    (act,) = actions
+    assert g.p**2 - 1 - act.unfilled < g.p**2 / 2
 
 
 def test_product_set_not_commutative():
@@ -307,10 +326,19 @@ def test_ruzsa_representation_count_without_table(chunk_cells, monkeypatch):
         actions.append(len(iy))
         return row_action(self, iy)
 
+    inverses = []
+    inverse = sl2.inverse_set
+
+    def counted_inverse(s):
+        inverses.append(s)
+        return inverse(s)
+
     monkeypatch.setattr(sl2, "_CHUNK_CELLS", chunk_cells)
     monkeypatch.setattr(SL2Group, "_row_action", counted)
+    monkeypatch.setattr(sl2, "inverse_set", counted_inverse)
     r = check_ruzsa(a, b, c)
     assert len(actions) == 4  # AC^-1, AB^-1, BC^-1, then once for the count
+    assert inverses == [c, b]  # C^-1 is built once for AC^-1 and BC^-1
 
     def inv(s):
         return [(d, -bb % 17, -cc % 17, aa) for aa, bb, cc, d in s.coords()]
@@ -400,6 +428,22 @@ def test_theorem4_bound_values():
 # verify_theorem4 and the twelve-set consequence
 
 
+def test_meets_floor_exact_matches_guarded_float():
+    """card^3 * D >= N^3 agrees with the guarded float floor N^(1 - delta/3)
+    for every prime 5-59 and every block size 0..N."""
+    primes = [p for p in range(5, 60) if all(p % q for q in range(2, p))]
+    cases = 0
+    for p in primes:
+        info = quasirandom_info(p)
+        n = info.order
+        cards = np.arange(n + 1, dtype=np.int64)
+        guarded = cards >= n ** (1.0 - info.delta / 3.0) * (1.0 - 1e-9)
+        assert np.array_equal(sl2._meets_floor(cards, n, info.D), guarded)
+        assert sl2._meets_floor(n, n, info.D) and not sl2._meets_floor(0, n, info.D)
+        cases += len(cards)
+    assert cases == 738_855
+
+
 def test_theorem4_full_sets():
     g = sl2_group(5)
     rep = verify_theorem4([SL2Set.full(g)] * 3)
@@ -466,6 +510,17 @@ def test_remark12_small_p_rejected():
         remark12(3)
     with pytest.raises(ValueError):
         remark12(2)
+
+
+@pytest.mark.parametrize("p", [5, 17])
+def test_random_sl2_set_matches_sampled_indices(p):
+    """The bool-array build keeps the draw, so seeded sets are unchanged."""
+    g = sl2_group(p)
+    for seed in range(4):
+        for size in (0, 1, g.order // 3, g.order):
+            got = sl2.random_sl2_set(g, size, random.Random(seed))
+            want = SL2Set.from_indices(g, random.Random(seed).sample(range(g.order), size))
+            assert got == want and got.card == size
 
 
 def test_sample_hypothesis_set():
