@@ -13,6 +13,7 @@ left-hand sides are always exact integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .setops import (
     ElementMultiset,
     GroupSet,
     _same_spec,
+    _subset_sum_bits,
     is_cover,
     m_fold,
     subset_sums,
@@ -405,15 +407,17 @@ class KpnSearchReport(Report):
 _CLOSURE_WITNESS_LIMIT = 64
 
 
-def _union_multiset(p: int, n: int, bases: Sequence[Sequence[Sequence[int]]]) -> ElementMultiset:
-    spec = vector_space_spec(p, n)
-    rows = [row for basis in bases for row in basis]
-    return ElementMultiset.from_coords(spec, rows)
+def _union_closure(spec: GroupSpec, bases: Sequence[Sequence[Sequence[int]]]) -> GroupSet:
+    """The subset-sum closure of the multiset union of ``bases``.
+
+    A basis row of Z_p^n is already its element's coordinate tuple, the
+    form the translate kernel takes, so the rows go to the kernel as they
+    are.
+    """
+    return GroupSet(spec, _subset_sum_bits(spec, ((row, 1) for basis in bases for row in basis)))
 
 
-def _counterexample_record(p: int, n: int, bases) -> dict:
-    union = _union_multiset(p, n, bases)
-    closure = subset_sums(union)
+def _counterexample_record(bases, closure: GroupSet) -> dict:
     rec = {
         "bases": [[list(row) for row in basis] for basis in bases],
         "closure_card": closure.card,
@@ -435,40 +439,39 @@ def kpn_exact_small(
 
     Exhaustive when all unordered k-tuples of bases fit the budget (the
     result is then exact); otherwise seeded random tuples are tried and the
-    result is only empirical.
+    result is only empirical.  ``budget`` must be at least 1: a level that
+    checked no tuple would claim its k with no evidence.
     """
-    p, n = int(p), int(n)
+    p, n, budget = int(p), int(n), int(budget)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    spec = vector_space_spec(p, n)
     bases = enumerate_bases(p, n)
     levels: list[dict] = []
     result_k: int | None = None
     exact = False
     for k in range(1, int(k_max) + 1):
         exhaustive = bases is not None and math.comb(len(bases) + k - 1, k) <= budget
-        counter = None
-        checked = 0
         if exhaustive:
-            import itertools
-
-            for tup in itertools.combinations_with_replacement(bases, k):
-                checked += 1
-                if not is_additive_basis(_union_multiset(p, n, tup)):
-                    counter = _counterexample_record(p, n, tup)
-                    break
+            tuples = itertools.combinations_with_replacement(bases, k)
         else:
             rng = random.Random(seed * 1_000_003 + k)
-            for _ in range(budget):
-                checked += 1
-                tup = tuple(
-                    random_basis_matrix(p, n, seed=rng.getrandbits(62)).rows
-                    for _ in range(k)
-                )
-                if not is_additive_basis(_union_multiset(p, n, tup)):
-                    counter = _counterexample_record(p, n, tup)
-                    break
+            tuples = (
+                tuple(random_basis_matrix(p, n, seed=rng.getrandbits(62)).rows for _ in range(k))
+                for _ in range(budget)
+            )
+        counter = None
+        checked = 0
+        for tup in tuples:
+            checked += 1
+            closure = _union_closure(spec, tup)
+            if not is_cover(closure):
+                counter = _counterexample_record(tup, closure)
+                break
         levels.append(
             {
                 "k": k,
@@ -485,7 +488,7 @@ def kpn_exact_small(
         p=p,
         n=n,
         k_max=int(k_max),
-        budget=int(budget),
+        budget=budget,
         levels=levels,
         result_k=result_k,
         exact=exact,

@@ -3,11 +3,18 @@
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the report
 carries the witness), 2 usage or configuration error.  Reports go to
 stdout; diagnostics go to stderr.
+
+``run(argv)`` can be called many times in one process.  The argument
+parser is built on the first call and reused by every later one; each run
+still restores the order cap that ``--order-cap`` changed for it.
+``kpn --budget`` must be at least 1, since a search that checks no tuple
+has no evidence for its least k.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -36,7 +43,10 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--parallel", type=int, default=1, help="worker threads for trials")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``run`` in the process: parsing keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="sumsetlab",
         description="Sumset, product set, and subset-sum verification over finite groups.",

@@ -288,18 +288,27 @@ def subset_sums(b: ElementMultiset) -> GroupSet:
     independent.
     """
     spec = b.spec
+    return GroupSet(spec, _subset_sum_bits(spec, ((decode(spec, x), m) for x, m in b.entries)))
+
+
+def _subset_sum_bits(spec: GroupSpec, steps: Iterable[tuple[Sequence[int], int]]) -> int:
+    """The bitmask of the subset-sum closure of ``mult`` copies of each
+    ``(coords, mult)`` step, for callers that hold coordinate tuples.
+
+    The coordinates are not validated: each must be in range for its
+    factor, as ``decode`` returns them.
+    """
     kern = _kernel(spec)
     bits = 1
-    for x, mult in b.entries:
-        coords = decode(spec, x)
+    for coords, mult in steps:
         for _ in range(mult):
             new = bits | kern.translate(bits, coords)
             if new == bits:
-                break  # fixpoint: further copies of x cannot add elements
+                break  # fixpoint: further copies of this step cannot add elements
             bits = new
             if bits == kern.full:
-                return GroupSet.full(spec)
-    return GroupSet(spec, bits)
+                return bits
+    return bits
 
 
 def is_cover(a: GroupSet) -> bool:

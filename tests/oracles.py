@@ -7,6 +7,7 @@ fast bitmask engine can be checked against code with no shared machinery.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 
 def add_coords(factors, x, y):
@@ -26,9 +27,12 @@ def naive_translate(factors, a, g):
 
 
 def naive_m_fold(factors, a, m):
+    order = prod(factors)
     acc = frozenset([tuple(0 for _ in factors)])
     for _ in range(m):
         acc = naive_sumset(factors, acc, a)
+        if len(acc) == order:
+            break  # acc is all of G, so A is nonempty and G + A = G
     return acc
 
 

@@ -1,10 +1,13 @@
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import naive_subset_sums
 
 from sumsetlab.abelian import (
+    _union_closure,
     check_plunnecke,
     is_additive_basis,
     kpn_exact_small,
@@ -17,8 +20,8 @@ from sumsetlab.abelian import (
     theorem1_trials,
     verify_theorem1,
 )
-from sumsetlab.constructions import random_cover_set
-from sumsetlab.groups import GroupSpec, parse_group_spec
+from sumsetlab.constructions import enumerate_bases, random_cover_set
+from sumsetlab.groups import GroupSpec, parse_group_spec, vector_space_spec
 from sumsetlab.setops import ElementMultiset, GroupSet, is_cover, m_fold, sumset
 
 Z8 = GroupSpec((8,))
@@ -267,6 +270,42 @@ def test_kpn_exact_sampled_mode():
     rep = kpn_exact_small(2, 2, k_max=1, budget=1)
     assert rep.levels[0]["mode"] == "sampled"
     assert rep.result_k == 1 and not rep.exact
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_kpn_exact_rejects_budget_below_1(budget):
+    """A level that checks no tuple has no evidence for its k."""
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        kpn_exact_small(3, 2, budget=budget)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 1), (2, 2), (2, 3)])
+def test_kpn_union_closure_matches_naive(p, n):
+    """Every union of k <= 2 bases: its closure equals the oracle's, and the
+    search stops at the first tuple the oracle says does not cover."""
+    spec = vector_space_spec(p, n)
+    bases = enumerate_bases(p, n)
+    rep = kpn_exact_small(p, n, k_max=2)
+    for k in (1, 2):
+        first_failure = None
+        tuples = list(itertools.combinations_with_replacement(bases, k))
+        for i, tup in enumerate(tuples, 1):
+            oracle = naive_subset_sums(spec.factors, [row for basis in tup for row in basis])
+            assert set(_union_closure(spec, tup).coords()) == oracle
+            if first_failure is None and len(oracle) < spec.order:
+                first_failure = (i, tup, len(oracle))
+        if k > len(rep.levels):
+            continue
+        level = rep.levels[k - 1]
+        assert level["mode"] == "exhaustive"
+        if first_failure is None:
+            assert level["tuples_checked"] == len(tuples)
+            assert level["counterexample"] is None
+        else:
+            i, tup, card = first_failure
+            assert level["tuples_checked"] == i
+            assert level["counterexample"]["bases"] == [[list(r) for r in b] for b in tup]
+            assert level["counterexample"]["closure_card"] == card
 
 
 def test_kpn_exact_p3_n2():

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -85,6 +87,55 @@ def test_order_cap_env_var():
     )
     assert proc.returncode == 2
     assert "cap" in proc.stderr
+
+
+def test_kpn_budget_below_1_is_usage_error(capsys):
+    assert cli.run(["kpn", "--p", "3", "--n", "2", "--exact", "--budget", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "budget must be >= 1" in err
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+def _run_masked(capsys, argv):
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"wall_time_s": [^,\n}]+', '"wall_time_s": 0', out), err
+
+
+def test_parser_built_once_and_reused(capsys, monkeypatch):
+    """A usage error, --help, then one command twice, in one process: each
+    gives what a freshly built parser gives, and the parser is built once."""
+    argvs = [
+        ["example1", "--p", "3"],
+        ["--help"],
+        ["example1", "--p", "3", "--k", "1"],
+        ["example1", "--p", "3", "--k", "1"],
+    ]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(_run_masked(capsys, argv))
+
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "sumsetlab":
+            builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    reused = [_run_masked(capsys, argv) for argv in argvs]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+    assert "the following arguments are required: --k" in reused[0][2]
+    assert reused[1][1].startswith("usage: sumsetlab")
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
