@@ -7,6 +7,8 @@ Writes the set files ``a.json`` and ``b.json`` into OUTDIR, then runs, in
 this process through ``sumsetlab.cli.run``:
 
 * every ``sumsetlab ...`` command of the README's command-line section;
+* ``theorem1`` at m = 3 and ``theorem1`` and ``plunnecke`` on mixed moduli,
+  so that the m = 3 chain step and multi-axis translates are covered;
 * ``sl2 ruzsa``, ``sl2 gowers`` and ``sl2 theorem4`` at p = 13 and 17;
 
 each once with ``--seed 0`` and once with ``--seed 1``.  Each run leaves one
@@ -34,6 +36,12 @@ SET_FILES = {
     "a.json": {"elements": [[0, 0], [1, 2], [5, 9], [3, 4]]},
     "b.json": {"elements": [[0, 1], [2, 0], [4, 7]]},
 }
+ABELIAN_COMMANDS = [
+    "theorem1 --group Z2^6 --m 3 --trials 5 --density 0.3",
+    "theorem1 --group Z6xZ10 --m 2 --trials 5",
+    "plunnecke --group Z3^4 --trials 50",
+    "plunnecke --group Z6xZ10 --trials 50",
+]
 SL2_COMMANDS = [
     "sl2 ruzsa --p 13 --trials 3",
     "sl2 gowers --p 13 --size 600 --trials 2",
@@ -63,7 +71,7 @@ def main(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, payload in SET_FILES.items():
         (outdir / name).write_text(json.dumps(payload), encoding="utf-8")
-    commands = readme_commands() + SL2_COMMANDS
+    commands = readme_commands() + ABELIAN_COMMANDS + SL2_COMMANDS
     with contextlib.chdir(outdir):
         for i, command in enumerate(commands):
             for seed in (0, 1):

@@ -6,9 +6,10 @@ inequality, the two-half covering argument (each half grows until it
 exceeds |G|/2, then one pigeonhole sum finishes), explicit upper bounds for
 the bases-union constant, and exact tiny-case searches for that constant.
 
-Real-valued bounds are compared with a relative guard of 1e-9 in the
-inequality's favor so float rounding can never report a false violation;
-left-hand sides are always exact integers.
+Every verdict is an exact integer comparison; the real-valued bounds in
+the reports are for display.  Only the closed-form K of the two-half
+bound is rounded from a float, with a relative guard of 1e-9 so that a
+value within rounding of an integer counts as that integer.
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ from .setops import (
 )
 
 REL_GUARD = 1e-9
-
-
-def _at_least(lhs: float, bound: float) -> bool:
-    return lhs >= bound * (1.0 - REL_GUARD)
-
-
-def _at_most(lhs: float, bound: float) -> bool:
-    return lhs <= bound * (1.0 + REL_GUARD)
 
 
 def _least_integer_at_least(value: float) -> int:
@@ -75,7 +68,9 @@ class PlunneckeReport(Report):
 def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> PlunneckeReport:
     """Measure alpha = |A+B|/|B| and verify |kA| <= alpha^k |B|.
 
-    A failure would indicate an engine bug, not new mathematics.
+    The verdict is the integer form |kA| * |B|^(k-1) <= |A+B|^k; ``alpha``
+    and ``rhs`` are reported for display.  A failure would indicate an
+    engine bug, not new mathematics.
     """
     _same_spec(a.group, b.group)
     if a.card == 0 or b.card == 0:
@@ -96,7 +91,7 @@ def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> PlunneckeReport:
         alpha=alpha,
         lhs=lhs,
         rhs=rhs,
-        passed=_at_most(lhs, rhs),
+        passed=lhs * b.card ** (k - 1) <= s.card**k,
     )
 
 
@@ -169,11 +164,21 @@ def verify_theorem1(family: Sequence[GroupSet], m: int) -> Theorem1Report:
 
     Per set: the hypothesis ``m_fold(A_i, m) = G``.  Per half of the family:
     the running prefix sums with, at every hypothesis-satisfying step, the
-    growth inequality ``|G|^(1/m) * |P|^((m-1)/m) <= |P + A_i|``, ending
-    with the half exceeding |G|/2.  Finally the two halves are summed and
-    compared against G.  The report passes only when every hypothesis and
-    the final coverage hold.
+    growth inequality ``|G|^(1/m) * |P|^((m-1)/m) <= |P + A_i|`` (decided
+    as ``|P + A_i|^m >= |G| * |P|^(m-1)``; ``bound`` is for display),
+    ending with the half exceeding |G|/2.  Finally the two halves are
+    summed and compared against G.  The report passes only when every
+    hypothesis and the final coverage hold.
     """
+    return _theorem1_chain(family, m, None)
+
+
+def _theorem1_chain(
+    family: Sequence[GroupSet], m: int, hypothesis_ok: list[bool] | None
+) -> Theorem1Report:
+    """``verify_theorem1``, taking the hypothesis verdicts when the caller
+    already knows them (a trial runner whose sampler accepted each set
+    only once its m-fold sumset covered G); ``None`` tests every set."""
     family = list(family)
     if not family:
         raise ValueError("family must be nonempty")
@@ -190,7 +195,8 @@ def verify_theorem1(family: Sequence[GroupSet], m: int) -> Theorem1Report:
     big_k = len(family) // 2
     n = spec.order
 
-    hypothesis_ok = [is_cover(m_fold(a, m)) for a in family]
+    if hypothesis_ok is None:
+        hypothesis_ok = [is_cover(m_fold(a, m)) for a in family]
     halves: list[dict] = []
     half_sets: list[GroupSet] = []
     for h in (0, 1):
@@ -199,15 +205,15 @@ def verify_theorem1(family: Sequence[GroupSet], m: int) -> Theorem1Report:
         cards = [prefix.card]
         steps: list[dict] = []
         for i in range(1, big_k):
-            bound = n ** (1.0 / m) * prefix.card ** ((m - 1.0) / m)
+            prev = prefix.card
             prefix = sumset(prefix, part[i])
             steps.append(
                 {
                     "index": h * big_k + i,
-                    "bound": bound,
+                    "bound": n ** (1.0 / m) * prev ** ((m - 1.0) / m),
                     "card": prefix.card,
                     "claimed": hypothesis_ok[h * big_k + i],
-                    "holds": _at_least(prefix.card, bound),
+                    "holds": prefix.card**m >= n * prev ** (m - 1),
                 }
             )
             cards.append(prefix.card)
@@ -253,7 +259,12 @@ def theorem1_trials(
     density: float = 0.5,
     workers: int = 1,
 ) -> list[Theorem1Report]:
-    """Run verify_theorem1 on families of 2K rejection-sampled cover sets."""
+    """Run verify_theorem1 on families of 2K rejection-sampled cover sets.
+
+    ``random_cover_set`` returns a set only once its m-fold sumset covers
+    G, so every hypothesis verdict is already known to hold and the chain
+    does not test it again.
+    """
     big_k = theorem1_bound(m, spec.order) if K is None else int(K)
     if big_k < 1:
         raise ValueError(f"K must be >= 1, got {big_k}")
@@ -264,7 +275,7 @@ def theorem1_trials(
             random_cover_set(spec, m, density, seed=rng.getrandbits(62))
             for _ in range(2 * big_k)
         ]
-        return verify_theorem1(sets, m)
+        return _theorem1_chain(sets, m, [True] * len(sets))
 
     return map_trials(one, trials, workers)
 

@@ -21,10 +21,12 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .config import check_order, order_cap
 from .groups import GroupSpec, is_prime, vector_space_spec
 from .reports import Report
-from .setops import ElementMultiset, GroupSet, is_cover, m_fold, sumset
+from .setops import ElementMultiset, GroupSet, _bits_from_bool, is_cover, m_fold, sumset
 
 
 class SearchBudgetError(RuntimeError):
@@ -339,10 +341,18 @@ def enumerate_bases(p: int, n: int, cap: int = 200_000) -> list[tuple[tuple[int,
 
 
 def random_set(spec: GroupSpec, size: int, rng: random.Random) -> GroupSet:
-    """A uniformly random subset with exactly ``size`` elements."""
+    """A uniformly random subset with exactly ``size`` elements.
+
+    The drawn indices are in range by construction, so they are marked in a
+    bool array and packed, in time linear in the order, without the
+    per-element validation of ``GroupSet.from_indices``.  Any group with an
+    ``order`` works; ``sl2.random_sl2_set`` builds through here too.
+    """
     if not 0 <= size <= spec.order:
         raise ValueError(f"size {size} out of range [0, {spec.order}]")
-    return GroupSet.from_indices(spec, rng.sample(range(spec.order), size))
+    mask = np.zeros(spec.order, dtype=bool)
+    mask[rng.sample(range(spec.order), size)] = True
+    return GroupSet(spec, _bits_from_bool(mask))
 
 
 def random_cover_set(

@@ -5,8 +5,10 @@ A set is an immutable Python-int bitmask over element indices (bit i set
 iff element i is a member), so unions and translates run word-parallel on
 CPython's big-int limbs.  The same set type serves both engines: its group
 is a ``GroupSpec`` or an ``SL2Group``.  ``sumset`` iterates the members of
-the smaller operand and ORs whole-set translates of the larger one; one
-translate is a handful of shift/mask passes per coordinate axis.
+the smaller operand and ORs whole-set translates of the larger one.  A
+translate walks the element's index digits, least significant first: each
+nonzero digit is a shift/mask pass along its axis, and the walk stops
+after the last nonzero digit.
 """
 
 from __future__ import annotations
@@ -84,20 +86,37 @@ class _Kernel:
                 self._mask_bytes += self.order >> 3
         return mask
 
-    def translate(self, bits: int, coords: Sequence[int]) -> int:
-        """Rotate the bitmask by ``coords``: bit(x) moves to bit(x + g)."""
+    def _shift(self, bits: int, i: int, t: int) -> int:
+        """Rotate every block of axis ``i`` by ``t`` steps of that axis."""
+        ax = self.axes[i]
+        up = t * ax.width
+        down = ax.block - up
+        if ax.nblocks == 1:
+            return ((bits & ((1 << down) - 1)) << up) | (bits >> down)
+        return ((bits & self._rep_mask(i, down)) << up) | (
+            (bits >> down) & self._rep_mask(i, up)
+        )
+
+    def translate(self, bits: int, g: int) -> int:
+        """Rotate the bitmask by element ``g``: bit(x) moves to bit(x + g).
+
+        ``g`` must be in ``[0, order)``; it is not validated.  Its
+        little-endian mixed-radix digits are the per-axis shifts, peeled
+        off one axis at a time until the rest of ``g`` is 0.
+        """
+        for i, ax in enumerate(self.axes):
+            if not g:
+                break
+            g, t = divmod(g, ax.modulus)
+            if t:
+                bits = self._shift(bits, i, t)
+        return bits
+
+    def translate_coords(self, bits: int, coords: Sequence[int]) -> int:
+        """``translate`` by the element whose coordinates are ``coords``."""
         for i, t in enumerate(coords):
-            if not t:
-                continue
-            ax = self.axes[i]
-            up = t * ax.width
-            down = ax.block - up
-            if ax.nblocks == 1:
-                bits = ((bits & ((1 << down) - 1)) << up) | (bits >> down)
-            else:
-                bits = ((bits & self._rep_mask(i, down)) << up) | (
-                    (bits >> down) & self._rep_mask(i, up)
-                )
+            if t:
+                bits = self._shift(bits, i, t)
         return bits
 
 
@@ -224,8 +243,7 @@ def _same_spec(a: Group, b: Group) -> None:
 
 def translate(a: GroupSet, g: int) -> GroupSet:
     """The translate ``{x + g : x in A}``; cardinality is preserved."""
-    coords = decode(a.group, g)
-    return GroupSet(a.group, _kernel(a.group).translate(a.bits, coords))
+    return GroupSet(a.group, _kernel(a.group).translate(a.bits, check_index(a.group, g)))
 
 
 def _sum_bits(spec: GroupSpec, xbits: int, ybits: int) -> int:
@@ -236,7 +254,7 @@ def _sum_bits(spec: GroupSpec, xbits: int, ybits: int) -> int:
     kern = _kernel(spec)
     acc = 0
     for g in _bit_indices(xbits, kern.nbytes).tolist():
-        acc |= kern.translate(ybits, decode(spec, g))
+        acc |= kern.translate(ybits, g)
         if acc == kern.full:
             break
     return acc
@@ -302,7 +320,7 @@ def _subset_sum_bits(spec: GroupSpec, steps: Iterable[tuple[Sequence[int], int]]
     bits = 1
     for coords, mult in steps:
         for _ in range(mult):
-            new = bits | kern.translate(bits, coords)
+            new = bits | kern.translate_coords(bits, coords)
             if new == bits:
                 break  # fixpoint: further copies of this step cannot add elements
             bits = new

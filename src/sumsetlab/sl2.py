@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import check_order
-from .constructions import SearchBudgetError
+from .constructions import SearchBudgetError, random_set
 from .groups import is_prime
 from .reports import Report, map_trials
 from .setops import GroupSet, _bit_indices, _bits_from_bool, _same_spec, is_cover
@@ -455,6 +455,13 @@ def verify_theorem4(family: Sequence[GroupSet]) -> Theorem4Report:
     card^3 * D >= N^3; ``floor`` is reported for display).  The three block
     products then cover G by the triple-product argument.
     """
+    return _theorem4_chain(family, None)
+
+
+def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None) -> Theorem4Report:
+    """``verify_theorem4``, taking the hypothesis verdicts when the caller
+    already knows them (a trial runner whose sampler accepted each set
+    only once A A^-1 covered G); ``None`` tests every set."""
     family = list(family)
     if not family:
         raise ValueError("family must be nonempty")
@@ -471,7 +478,8 @@ def verify_theorem4(family: Sequence[GroupSet]) -> Theorem4Report:
     n = g.order
     info = quasirandom_info(g.p)
 
-    hypothesis_ok = [is_cover(product_set(a, inverse_set(a))) for a in family]
+    if hypothesis_ok is None:
+        hypothesis_ok = [is_cover(product_set(a, inverse_set(a))) for a in family]
     blocks: list[dict] = []
     block_products: list[GroupSet] = []
     floor = n ** (1.0 - info.delta / 3.0)
@@ -549,9 +557,7 @@ def random_sl2_set(group: SL2Group, size: int, rng: random.Random) -> GroupSet:
     size = int(size)
     if not 0 <= size <= group.order:
         raise ValueError(f"size {size} out of range for order {group.order}")
-    mask = np.zeros(group.order, dtype=bool)
-    mask[rng.sample(range(group.order), size)] = True
-    return GroupSet(group, _bits_from_bool(mask))
+    return random_set(group, size, rng)
 
 
 def sample_hypothesis_set(
@@ -608,6 +614,12 @@ def theorem4_trials(
     density: float = 0.25,
     workers: int = 1,
 ) -> list[Theorem4Report]:
+    """Run verify_theorem4 on families of 3K rejection-sampled sets.
+
+    ``sample_hypothesis_set`` returns a set only once A A^-1 covers G, so
+    every hypothesis verdict is already known to hold and the chain does
+    not test it again.
+    """
     g = sl2_group(p)
     big_k = theorem4_bound(quasirandom_info(p).delta) if K is None else int(K)
     if big_k < 1:
@@ -616,7 +628,7 @@ def theorem4_trials(
     def one(i: int) -> Theorem4Report:
         rng = random.Random(seed + i)
         sets = [sample_hypothesis_set(g, rng, density) for _ in range(3 * big_k)]
-        return verify_theorem4(sets)
+        return _theorem4_chain(sets, [True] * len(sets))
 
     return map_trials(one, trials, workers)
 

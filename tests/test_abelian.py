@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import naive_subset_sums
 
+from sumsetlab import abelian
 from sumsetlab.abelian import (
     _union_closure,
     check_plunnecke,
@@ -75,6 +76,44 @@ def test_plunnecke_random(data):
     assert check_plunnecke(a, b, k).passed
 
 
+# The float predicates the verdicts used before they became exact integer
+# comparisons: a relative guard of 1e-9 in the inequality's favor.  The two
+# can differ only when the measured side is within that guard of the bound.
+_GUARD = 1e-9
+
+
+def _off_boundary(value, bound):
+    return abs(value - bound) > 10 * _GUARD * bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_plunnecke_exact_verdict_matches_guarded_float(data):
+    factors = data.draw(st.sampled_from([(7,), (16,), (2, 2, 2), (3, 3), (2, 6), (5, 5)]))
+    spec = GroupSpec(factors)
+    bits = st.integers(1, (1 << spec.order) - 1)
+    a = GroupSet(spec, data.draw(bits))
+    b = GroupSet(spec, data.draw(bits))
+    r = check_plunnecke(a, b, data.draw(st.integers(2, 5)))
+    if _off_boundary(r.lhs, r.rhs):
+        assert r.passed == (r.lhs <= r.rhs * (1.0 + _GUARD))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_theorem1_exact_step_matches_guarded_float(data):
+    """Arbitrary nonempty families, so steps both hold and fail."""
+    factors = data.draw(st.sampled_from([(7,), (16,), (2, 2, 2), (3, 3), (2, 6), (3, 3, 3)]))
+    spec = GroupSpec(factors)
+    bits = st.integers(1, (1 << spec.order) - 1)
+    big_k = data.draw(st.integers(2, 4))
+    family = [GroupSet(spec, data.draw(bits)) for _ in range(2 * big_k)]
+    rep = verify_theorem1(family, data.draw(st.integers(1, 4)))
+    for step in (s for h in rep.halves for s in h["steps"]):
+        if _off_boundary(step["card"], step["bound"]):
+            assert step["holds"] == (step["card"] >= step["bound"] * (1.0 - _GUARD))
+
+
 def test_plunnecke_trials_deterministic():
     spec = parse_group_spec("Z12")
     first = plunnecke_trials(spec, 20, seed=5)
@@ -135,6 +174,26 @@ def test_verify_theorem1_hypothesis_gate():
     assert not rep.passed
     # the failed-hypothesis step is not claimed, so chain_ok ignores it
     assert rep.chain_ok
+
+
+@pytest.mark.parametrize("group, m", [("Z3^4", 2), ("Z3^4", 3), ("Z2^6", 3)])
+def test_theorem1_trials_match_public_verifier(group, m, monkeypatch):
+    """The runner hands the chain its sampler's verdicts; the reports are
+    the ones the public verifier gives after testing every set itself."""
+    chain = abelian._theorem1_chain
+    handed: list[list[GroupSet]] = []
+
+    def recording_chain(family, m, hypothesis_ok):
+        if hypothesis_ok is not None:
+            handed.append(list(family))
+        return chain(family, m, hypothesis_ok)
+
+    monkeypatch.setattr(abelian, "_theorem1_chain", recording_chain)
+    reports = theorem1_trials(parse_group_spec(group), m, 3, seed=11)
+    assert len(handed) == len(reports) == 3
+    for rep, family in zip(reports, handed):
+        assert rep.to_dict() == verify_theorem1(family, m).to_dict()
+        assert rep.passed
 
 
 def test_verify_theorem1_m1_short_circuit():

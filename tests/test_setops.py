@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import naive_m_fold, naive_subset_sums, naive_sumset, naive_translate
-from sumsetlab.groups import GroupSpec, encode, parse_group_spec
+from sumsetlab.groups import GroupSpec, decode, encode, parse_group_spec
 from sumsetlab.setops import (
+    _kernel,
     ElementMultiset,
     GroupSet,
     SpecMismatchError,
@@ -92,10 +93,35 @@ def test_translate_matches_naive(args, data):
     spec, a = args
     g = data.draw(st.integers(0, spec.order - 1))
     got = frozenset(translate(a, g).coords())
-    from sumsetlab.groups import decode
-
     assert got == naive_translate(spec.factors, a.coords(), decode(spec, g))
     assert translate(a, g).card == a.card
+
+
+_KERNEL_SPECS = (
+    st.sampled_from(["Z64", "Z6xZ10", "Z5^2"])
+    | st.integers(1, 8).map(lambda k: f"Z2^{k}")
+    | st.integers(1, 5).map(lambda k: f"Z3^{k}")
+)
+
+
+@settings(max_examples=100)
+@given(_KERNEL_SPECS, st.data())
+def test_index_translate_matches_coordinate_translate(name, data):
+    """The kernel's walk over an index's digits (which stops at the last
+    nonzero one) agrees with its walk over the decoded coordinates, on a
+    single-block axis (Z64), mixed moduli and many equal axes."""
+    spec = parse_group_spec(name)
+    kern = _kernel(spec)
+    bits = data.draw(st.integers(0, kern.full))
+    for g in (0, spec.order - 1, data.draw(st.integers(0, spec.order - 1))):
+        assert kern.translate(bits, g) == kern.translate_coords(bits, decode(spec, g))
+
+
+def test_translate_validates_index():
+    a = gset(Z5, [(0,), (1,)])
+    for g in (-1, 5):
+        with pytest.raises(ValueError):
+            translate(a, g)
 
 
 # ---------------------------------------------------------------------------

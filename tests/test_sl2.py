@@ -462,6 +462,26 @@ def test_theorem4_seeded_families():
         assert rep.passed
 
 
+@pytest.mark.parametrize("p", [7, 13])
+def test_theorem4_trials_match_public_verifier(p, monkeypatch):
+    """The runner hands the chain its sampler's verdicts; the reports are
+    the ones the public verifier gives after testing every set itself."""
+    chain = sl2._theorem4_chain
+    handed = []
+
+    def recording_chain(family, hypothesis_ok):
+        if hypothesis_ok is not None:
+            handed.append(list(family))
+        return chain(family, hypothesis_ok)
+
+    monkeypatch.setattr(sl2, "_theorem4_chain", recording_chain)
+    reports = theorem4_trials(p, 2, seed=3)
+    assert len(handed) == len(reports) == 2
+    for rep, family in zip(reports, handed):
+        assert rep.to_dict() == verify_theorem4(family).to_dict()
+        assert rep.passed
+
+
 def test_theorem4_hypothesis_gate():
     g = sl2_group(5)
     full = SL2Set.full(g)
