@@ -24,7 +24,6 @@ def main() -> None:
     parser.add_argument(
         "--densities", type=float, nargs="+", default=[0.3, 0.4, 0.5, 0.7, 0.9]
     )
-    parser.add_argument("--parallel", type=int, default=1)
     args = parser.parse_args()
 
     spec = parse_group_spec(args.group)
@@ -35,13 +34,7 @@ def main() -> None:
     print("-" * len(header))
     for density in args.densities:
         reports = theorem1_trials(
-            spec,
-            args.m,
-            args.trials,
-            args.seed,
-            K=big_k,
-            density=density,
-            workers=args.parallel,
+            spec, args.m, args.trials, args.seed, K=big_k, density=density
         )
         ratios = [
             step["card"] / step["bound"]

@@ -19,7 +19,6 @@ def main() -> None:
     parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--density", type=float, default=0.25)
-    parser.add_argument("--parallel", type=int, default=1)
     args = parser.parse_args()
 
     header = f"{'p':>4} {'order':>7} {'D':>3} {'delta':>8} {'K':>3} {'3K':>3} {'trials':>10}"
@@ -30,13 +29,7 @@ def main() -> None:
         k = theorem4_bound(info.delta)
         outcome = "n/a (K > 4)"
         if p >= 7 and args.trials > 0:
-            rep = remark12(
-                p,
-                trials=args.trials,
-                seed=args.seed,
-                density=args.density,
-                workers=args.parallel,
-            )
+            rep = remark12(p, trials=args.trials, seed=args.seed, density=args.density)
             outcome = f"{sum(rep.trials_passed)}/{rep.trials} pass"
         print(
             f"{p:>4} {info.order:>7} {info.D:>3} {info.delta:8.5f} {k:>3} {3 * k:>3}"

@@ -28,6 +28,7 @@ from .reports import Report, map_trials
 from .setops import (
     ElementMultiset,
     GroupSet,
+    _prefix_chain,
     _same_spec,
     _subset_sum_bits,
     is_cover,
@@ -100,18 +101,16 @@ def plunnecke_trials(
     trials: int,
     seed: int,
     k_choices: Sequence[int] = (2, 3, 4),
-    workers: int = 1,
 ) -> list[PlunneckeReport]:
     """Seeded random nonempty (A, B, k) instances; per-trial seed is seed+i."""
 
-    def one(i: int) -> PlunneckeReport:
-        rng = random.Random(seed + i)
+    def one(rng: random.Random) -> PlunneckeReport:
         n = spec.order
         a = random_set(spec, rng.randint(1, n), rng)
         b = random_set(spec, rng.randint(1, n), rng)
         return check_plunnecke(a, b, rng.choice(list(k_choices)))
 
-    return map_trials(one, trials, workers)
+    return map_trials(one, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -179,53 +178,24 @@ def _theorem1_chain(
     """``verify_theorem1``, taking the hypothesis verdicts when the caller
     already knows them (a trial runner whose sampler accepted each set
     only once its m-fold sumset covered G); ``None`` tests every set."""
-    family = list(family)
-    if not family:
-        raise ValueError("family must be nonempty")
-    if len(family) % 2:
-        raise ValueError(f"family length must be even (2K sets), got {len(family)}")
     m = int(m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    family, hypothesis_ok, chain, half_sets, chain_ok = _prefix_chain(
+        family,
+        2,
+        sumset,
+        lambda a: is_cover(m_fold(a, m)),
+        hypothesis_ok,
+        lambda n, prev, card: (
+            n ** (1.0 / m) * prev ** ((m - 1.0) / m),
+            card**m >= n * prev ** (m - 1),
+        ),
+    )
     spec = family[0].group
-    for a in family:
-        _same_spec(spec, a.group)
-        if a.card == 0:
-            raise ValueError("family sets must be nonempty")
-    big_k = len(family) // 2
     n = spec.order
-
-    if hypothesis_ok is None:
-        hypothesis_ok = [is_cover(m_fold(a, m)) for a in family]
-    halves: list[dict] = []
-    half_sets: list[GroupSet] = []
-    for h in (0, 1):
-        part = family[h * big_k : (h + 1) * big_k]
-        prefix = part[0]
-        cards = [prefix.card]
-        steps: list[dict] = []
-        for i in range(1, big_k):
-            prev = prefix.card
-            prefix = sumset(prefix, part[i])
-            steps.append(
-                {
-                    "index": h * big_k + i,
-                    "bound": n ** (1.0 / m) * prev ** ((m - 1.0) / m),
-                    "card": prefix.card,
-                    "claimed": hypothesis_ok[h * big_k + i],
-                    "holds": prefix.card**m >= n * prev ** (m - 1),
-                }
-            )
-            cards.append(prefix.card)
-        halves.append(
-            {
-                "prefix_cards": cards,
-                "steps": steps,
-                "final_card": prefix.card,
-                "exceeds_half": 2 * prefix.card > n,
-            }
-        )
-        half_sets.append(prefix)
+    big_k = len(family) // 2
+    halves = [{**half, "exceeds_half": 2 * half["final_card"] > n} for half in chain]
     total = sumset(half_sets[0], half_sets[1])
 
     try:
@@ -242,7 +212,7 @@ def _theorem1_chain(
         family_cards=[a.card for a in family],
         hypothesis_ok=hypothesis_ok,
         halves=halves,
-        chain_ok=all(s["holds"] for half in halves for s in half["steps"] if s["claimed"]),
+        chain_ok=chain_ok,
         halves_exceed_half=[half["exceeds_half"] for half in halves],
         final_card=total.card,
         final_cover=is_cover(total),
@@ -257,7 +227,6 @@ def theorem1_trials(
     seed: int,
     K: int | None = None,
     density: float = 0.5,
-    workers: int = 1,
 ) -> list[Theorem1Report]:
     """Run verify_theorem1 on families of 2K rejection-sampled cover sets.
 
@@ -269,15 +238,14 @@ def theorem1_trials(
     if big_k < 1:
         raise ValueError(f"K must be >= 1, got {big_k}")
 
-    def one(i: int) -> Theorem1Report:
-        rng = random.Random(seed + i)
+    def one(rng: random.Random) -> Theorem1Report:
         sets = [
             random_cover_set(spec, m, density, seed=rng.getrandbits(62))
             for _ in range(2 * big_k)
         ]
         return _theorem1_chain(sets, m, [True] * len(sets))
 
-    return map_trials(one, trials, workers)
+    return map_trials(one, trials, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,9 @@ def _common(parser: argparse.ArgumentParser) -> None:
         "--output", choices=("json", "csv", "text"), default="json", help="report format"
     )
     parser.add_argument("--order-cap", type=int, default=None, help="override the order cap")
-    parser.add_argument("--parallel", type=int, default=1, help="worker threads for trials")
+    parser.add_argument(
+        "--parallel", type=int, default=1, help="accepted and ignored; trials run serially"
+    )
 
 
 @functools.cache
@@ -152,13 +154,7 @@ def _cmd_theorem1(args) -> tuple[bool, dict, Any]:
     spec = parse_group_spec(args.group)
     big_k = abelian.theorem1_bound(args.m, spec.order) if args.K is None else args.K
     reports = abelian.theorem1_trials(
-        spec,
-        args.m,
-        args.trials,
-        args.seed,
-        K=big_k,
-        density=args.density,
-        workers=args.parallel,
+        spec, args.m, args.trials, args.seed, K=big_k, density=args.density
     )
     config = {
         "group": args.group,
@@ -173,7 +169,7 @@ def _cmd_theorem1(args) -> tuple[bool, dict, Any]:
 
 def _cmd_plunnecke(args) -> tuple[bool, dict, Any]:
     spec = parse_group_spec(args.group)
-    reports = abelian.plunnecke_trials(spec, args.trials, args.seed, workers=args.parallel)
+    reports = abelian.plunnecke_trials(spec, args.trials, args.seed)
     config = {"group": args.group, "trials": args.trials, "seed": args.seed}
     return all(r.passed for r in reports), config, [r.to_dict() for r in reports]
 
@@ -228,28 +224,19 @@ def _cmd_sl2_info(args) -> tuple[bool, dict, Any]:
 
 
 def _cmd_sl2_ruzsa(args) -> tuple[bool, dict, Any]:
-    reports = sl2.ruzsa_trials(args.p, args.trials, args.seed, workers=args.parallel)
+    reports = sl2.ruzsa_trials(args.p, args.trials, args.seed)
     config = {"p": args.p, "trials": args.trials, "seed": args.seed}
     return all(r.passed for r in reports), config, [r.to_dict() for r in reports]
 
 
 def _cmd_sl2_gowers(args) -> tuple[bool, dict, Any]:
-    reports = sl2.gowers_trials(
-        args.p, args.size, args.trials, args.seed, workers=args.parallel
-    )
+    reports = sl2.gowers_trials(args.p, args.size, args.trials, args.seed)
     config = {"p": args.p, "size": args.size, "trials": args.trials, "seed": args.seed}
     return all(r.passed for r in reports), config, [r.to_dict() for r in reports]
 
 
 def _cmd_sl2_theorem4(args) -> tuple[bool, dict, Any]:
-    reports = sl2.theorem4_trials(
-        args.p,
-        args.trials,
-        args.seed,
-        K=args.K,
-        density=args.density,
-        workers=args.parallel,
-    )
+    reports = sl2.theorem4_trials(args.p, args.trials, args.seed, K=args.K, density=args.density)
     config = {
         "p": args.p,
         "trials": args.trials,
@@ -261,9 +248,7 @@ def _cmd_sl2_theorem4(args) -> tuple[bool, dict, Any]:
 
 
 def _cmd_sl2_remark12(args) -> tuple[bool, dict, Any]:
-    report = sl2.remark12(
-        args.p, trials=args.trials, seed=args.seed, density=args.density, workers=args.parallel
-    )
+    report = sl2.remark12(args.p, trials=args.trials, seed=args.seed, density=args.density)
     config = {"p": args.p, "trials": args.trials, "seed": args.seed}
     return report.passed, config, report.to_dict()
 

@@ -5,27 +5,27 @@ pass flag, and the structured report (a dict, or a list of per-trial
 dicts).  JSON output is byte-stable for a fixed seed and config except for
 the single wall_time_s field, which is therefore kept at the top level so
 consumers can strip it before comparing runs.
+
+Trial runners hand ``map_trials`` a function of one ``random.Random``;
+trial i gets ``Random(seed + i)``, and trials run serially in index order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import random
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
 
-def map_trials(fn: Callable[[int], T], trials: int, workers: int = 1) -> list[T]:
-    """Run fn(0..trials-1), optionally on a thread pool, preserving order."""
+def map_trials(fn: Callable[[random.Random], T], trials: int, seed: int) -> list[T]:
+    """``[fn(Random(seed + i)) for i in range(trials)]``, in trial order."""
     trials = int(trials)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if workers <= 1 or trials <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+    return [fn(random.Random(seed + i)) for i in range(trials)]
 
 
 class Report:

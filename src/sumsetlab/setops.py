@@ -1,5 +1,5 @@
-"""Dense subsets of a finite group, the JSON set codec, and the Abelian
-sumset kernel.
+"""Dense subsets of a finite group, the JSON set codec, the prefix-chain
+walker of both covering theorems, and the Abelian sumset kernel.
 
 A set is an immutable Python-int bitmask over element indices (bit i set
 iff element i is a member), so unions and translates run word-parallel on
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -239,6 +239,69 @@ class ElementMultiset:
 def _same_spec(a: Group, b: Group) -> None:
     if a != b:
         raise SpecMismatchError(f"operands live over different groups: {a} vs {b}")
+
+
+def _prefix_chain(
+    family: Sequence[GroupSet],
+    blocks: int,
+    op: Callable[[GroupSet, GroupSet], GroupSet],
+    hypothesis: Callable[[GroupSet], bool],
+    hypothesis_ok: list[bool] | None,
+    step: Callable[[int, int, int], tuple[float, bool]],
+) -> tuple[list[GroupSet], list[bool], list[dict], list[GroupSet], bool]:
+    """Walk the prefix chain that both covering theorems run.
+
+    The family is cut into ``blocks`` blocks of equal length, and each
+    block is folded left to right with ``op`` (``sumset`` or
+    ``product_set``).  At every step ``step(order, prev, card)`` gives the
+    display bound and whether the claimed growth from a prefix of card
+    ``prev`` to one of card ``card`` holds; the growth is claimed only at
+    steps whose set meets the hypothesis.  ``hypothesis_ok`` holds the
+    per-set verdicts when the caller already knows them; ``None`` tests
+    every set with ``hypothesis``.
+
+    Returns the family as a list, the verdicts, one dict per block
+    (``prefix_cards``, ``steps``, ``final_card``), the block products, and
+    whether every claimed step holds.
+    """
+    family = list(family)
+    if not family:
+        raise ValueError("family must be nonempty")
+    if len(family) % blocks:
+        need = "even (2K sets)" if blocks == 2 else f"divisible by {blocks}"
+        raise ValueError(f"family length must be {need}, got {len(family)}")
+    group = family[0].group
+    for a in family:
+        _same_spec(group, a.group)
+        if a.card == 0:
+            raise ValueError("family sets must be nonempty")
+    if hypothesis_ok is None:
+        hypothesis_ok = [hypothesis(a) for a in family]
+    k = len(family) // blocks
+    chain: list[dict] = []
+    products: list[GroupSet] = []
+    for start in range(0, len(family), k):
+        prefix = family[start]
+        cards = [prefix.card]
+        steps: list[dict] = []
+        for i in range(start + 1, start + k):
+            prev = prefix.card
+            prefix = op(prefix, family[i])
+            bound, holds = step(group.order, prev, prefix.card)
+            steps.append(
+                {
+                    "index": i,
+                    "bound": bound,
+                    "card": prefix.card,
+                    "claimed": hypothesis_ok[i],
+                    "holds": holds,
+                }
+            )
+            cards.append(prefix.card)
+        chain.append({"prefix_cards": cards, "steps": steps, "final_card": prefix.card})
+        products.append(prefix)
+    chain_ok = all(s["holds"] for b in chain for s in b["steps"] if s["claimed"])
+    return family, hypothesis_ok, chain, products, chain_ok
 
 
 def translate(a: GroupSet, g: int) -> GroupSet:

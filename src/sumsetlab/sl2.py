@@ -34,7 +34,7 @@ from .config import check_order
 from .constructions import SearchBudgetError, random_set
 from .groups import is_prime
 from .reports import Report, map_trials
-from .setops import GroupSet, _bit_indices, _bits_from_bool, _same_spec, is_cover
+from .setops import GroupSet, _bit_indices, _bits_from_bool, _prefix_chain, _same_spec, is_cover
 
 _CHUNK_CELLS = 1 << 14
 REL_GUARD = 1e-9
@@ -462,56 +462,29 @@ def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None
     """``verify_theorem4``, taking the hypothesis verdicts when the caller
     already knows them (a trial runner whose sampler accepted each set
     only once A A^-1 covered G); ``None`` tests every set."""
-    family = list(family)
-    if not family:
-        raise ValueError("family must be nonempty")
-    if len(family) % 3:
-        raise ValueError(f"family length must be divisible by 3, got {len(family)}")
+    if family and family[0].group.p < 5:
+        raise ValueError(f"requires p >= 5, got p={family[0].group.p}")
+    family, hypothesis_ok, chain, block_products, chain_ok = _prefix_chain(
+        family,
+        3,
+        product_set,
+        lambda a: is_cover(product_set(a, inverse_set(a))),
+        hypothesis_ok,
+        lambda n, prev, card: (math.sqrt(n * prev), card**2 >= n * prev),
+    )
     g = family[0].group
-    if g.p < 5:
-        raise ValueError(f"requires p >= 5, got p={g.p}")
-    for a in family:
-        _same_spec(g, a.group)
-        if a.card == 0:
-            raise ValueError("family sets must be nonempty")
-    big_k = len(family) // 3
     n = g.order
     info = quasirandom_info(g.p)
-
-    if hypothesis_ok is None:
-        hypothesis_ok = [is_cover(product_set(a, inverse_set(a))) for a in family]
-    blocks: list[dict] = []
-    block_products: list[GroupSet] = []
     floor = n ** (1.0 - info.delta / 3.0)
-    for j in range(3):
-        part = family[j * big_k : (j + 1) * big_k]
-        prefix = part[0]
-        cards = [prefix.card]
-        steps: list[dict] = []
-        for i in range(1, big_k):
-            prev = prefix.card
-            prefix = product_set(prefix, part[i])
-            steps.append(
-                {
-                    "index": j * big_k + i,
-                    "bound": math.sqrt(n * prev),
-                    "card": prefix.card,
-                    "claimed": hypothesis_ok[j * big_k + i],
-                    "holds": prefix.card**2 >= n * prev,
-                }
-            )
-            cards.append(prefix.card)
-        blocks.append(
-            {
-                "first_sqrt_ok": part[0].card ** 2 >= n,
-                "prefix_cards": cards,
-                "steps": steps,
-                "final_card": prefix.card,
-                "floor": floor,
-                "meets_floor": _meets_floor(prefix.card, n, info.D),
-            }
-        )
-        block_products.append(prefix)
+    blocks = [
+        {
+            "first_sqrt_ok": block["prefix_cards"][0] ** 2 >= n,
+            **block,
+            "floor": floor,
+            "meets_floor": _meets_floor(block["final_card"], n, info.D),
+        }
+        for block in chain
+    ]
     triple = block_products[0].card * block_products[1].card * block_products[2].card
     premise = triple * info.D > n**3
     final = product_set(product_set(block_products[0], block_products[1]), block_products[2])
@@ -521,11 +494,11 @@ def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None
         order=n,
         D=info.D,
         delta=info.delta,
-        K=big_k,
+        K=len(family) // 3,
         family_cards=[a.card for a in family],
         hypothesis_ok=hypothesis_ok,
         blocks=blocks,
-        chain_ok=all(s["holds"] for b in blocks for s in b["steps"] if s["claimed"]),
+        chain_ok=chain_ok,
         gowers_premise_met=premise,
         final_card=final.card,
         final_cover=final_cover,
@@ -580,30 +553,26 @@ def sample_hypothesis_set(
     )
 
 
-def ruzsa_trials(p: int, trials: int, seed: int, workers: int = 1) -> list[RuzsaReport]:
+def ruzsa_trials(p: int, trials: int, seed: int) -> list[RuzsaReport]:
     g = sl2_group(p)
 
-    def one(i: int) -> RuzsaReport:
-        rng = random.Random(seed + i)
+    def one(rng: random.Random) -> RuzsaReport:
         a = random_sl2_set(g, rng.randint(1, g.order), rng)
         b = random_sl2_set(g, rng.randint(1, g.order), rng)
         c = random_sl2_set(g, rng.randint(1, g.order), rng)
         return check_ruzsa(a, b, c)
 
-    return map_trials(one, trials, workers)
+    return map_trials(one, trials, seed)
 
 
-def gowers_trials(
-    p: int, size: int, trials: int, seed: int, workers: int = 1
-) -> list[GowersReport]:
+def gowers_trials(p: int, size: int, trials: int, seed: int) -> list[GowersReport]:
     g = sl2_group(p)
 
-    def one(i: int) -> GowersReport:
-        rng = random.Random(seed + i)
+    def one(rng: random.Random) -> GowersReport:
         sets = [random_sl2_set(g, size, rng) for _ in range(3)]
         return check_gowers(*sets)
 
-    return map_trials(one, trials, workers)
+    return map_trials(one, trials, seed)
 
 
 def theorem4_trials(
@@ -612,7 +581,6 @@ def theorem4_trials(
     seed: int,
     K: int | None = None,
     density: float = 0.25,
-    workers: int = 1,
 ) -> list[Theorem4Report]:
     """Run verify_theorem4 on families of 3K rejection-sampled sets.
 
@@ -625,23 +593,22 @@ def theorem4_trials(
     if big_k < 1:
         raise ValueError(f"K must be >= 1, got {big_k}")
 
-    def one(i: int) -> Theorem4Report:
-        rng = random.Random(seed + i)
+    def one(rng: random.Random) -> Theorem4Report:
         sets = [sample_hypothesis_set(g, rng, density) for _ in range(3 * big_k)]
         return _theorem4_chain(sets, [True] * len(sets))
 
-    return map_trials(one, trials, workers)
+    return map_trials(one, trials, seed)
 
 
-def remark12(
-    p: int, trials: int = 5, seed: int = 0, density: float = 0.25, workers: int = 1
-) -> Remark12Report:
+def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> Remark12Report:
     """Evaluate the bound at p and, when it yields K=4, run 12-set trials.
 
     For p=5 the bound gives K=5, so the twelve-set statement is not implied;
     the report says so and runs nothing.
     """
     p = int(p)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     info = quasirandom_info(p)  # rejects p < 3
     if info.delta <= 0:
         raise ValueError(f"delta = 0 at p={p}: the bound is undefined")
@@ -649,7 +616,7 @@ def remark12(
     applies = big_k == 4
     trials_passed: list[bool] = []
     if applies:
-        results = theorem4_trials(p, trials, seed, K=4, density=density, workers=workers)
+        results = theorem4_trials(p, trials, seed, K=4, density=density)
         trials_passed = [r.passed for r in results]
     return Remark12Report(
         p=p,

@@ -176,6 +176,28 @@ def test_verify_theorem1_hypothesis_gate():
     assert rep.chain_ok
 
 
+def test_theorem1_claimed_failing_step_fails_chain():
+    """A step whose set is claimed to meet the hypothesis but whose prefix
+    does not grow makes chain_ok false."""
+    spec = parse_group_spec("Z3^2")
+    point, full = gset(spec, [0]), GroupSet.full(spec)
+    rep = abelian._theorem1_chain([point, point, full, full], 2, [True] * 4)
+    step = rep.halves[0]["steps"][0]
+    assert step["claimed"] and not step["holds"]
+    assert not rep.chain_ok
+    assert rep.passed  # the verdicts were handed in, and the halves still cover
+
+
+def test_theorem1_report_key_order():
+    spec = parse_group_spec("Z3^2")
+    rep = verify_theorem1([GroupSet.full(spec)] * 4, 2).to_dict()
+    for half in rep["halves"]:
+        assert list(half) == ["prefix_cards", "steps", "final_card", "exceeds_half"]
+        for step in half["steps"]:
+            assert list(step) == ["index", "bound", "card", "claimed", "holds"]
+    assert [s["index"] for half in rep["halves"] for s in half["steps"]] == [1, 3]
+
+
 @pytest.mark.parametrize("group, m", [("Z3^4", 2), ("Z3^4", 3), ("Z2^6", 3)])
 def test_theorem1_trials_match_public_verifier(group, m, monkeypatch):
     """The runner hands the chain its sampler's verdicts; the reports are

@@ -193,6 +193,14 @@ def test_remark12_envelope(capsys):
     assert rep["report"]["n_sets"] == 12
 
 
+def test_remark12_negative_trials_is_usage_error(capsys):
+    for p in ("5", "7"):
+        assert cli.run(["sl2", "remark12", "--p", p, "--trials", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials must be >= 0" in captured.err
+
+
 def test_sl2_info(capsys):
     code, rep = run_json(capsys, ["sl2", "info", "--p", "11"])
     assert code == 0

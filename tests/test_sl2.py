@@ -491,6 +491,39 @@ def test_theorem4_hypothesis_gate():
     assert not rep.passed
 
 
+def test_theorem4_unclaimed_failing_step_ignored():
+    g = sl2_group(5)
+    full = SL2Set.full(g)
+    almost = SL2Set.from_indices(g, range(1, g.order))
+    rep = verify_theorem4([almost, SL2Set.identity(g), full, full, full, full])
+    assert rep.hypothesis_ok == [True, False, True, True, True, True]
+    step = rep.blocks[0]["steps"][0]
+    assert not step["claimed"] and not step["holds"]
+    assert not rep.passed
+    # the failed-hypothesis step is not claimed, so chain_ok ignores it
+    assert rep.chain_ok
+
+
+def test_theorem4_claimed_failing_step_fails_chain():
+    g = sl2_group(5)
+    full, tiny = SL2Set.full(g), SL2Set.identity(g)
+    rep = sl2._theorem4_chain([tiny, tiny, full, full, full, full], [True] * 6)
+    step = rep.blocks[0]["steps"][0]
+    assert step["claimed"] and not step["holds"]
+    assert not rep.chain_ok
+
+
+def test_theorem4_report_key_order():
+    rep = verify_theorem4([SL2Set.full(sl2_group(5))] * 6).to_dict()
+    for block in rep["blocks"]:
+        assert list(block) == [
+            "first_sqrt_ok", "prefix_cards", "steps", "final_card", "floor", "meets_floor"
+        ]
+        for step in block["steps"]:
+            assert list(step) == ["index", "bound", "card", "claimed", "holds"]
+    assert [s["index"] for block in rep["blocks"] for s in block["steps"]] == [1, 3, 5]
+
+
 def test_theorem4_validation():
     g5 = sl2_group(5)
     full = SL2Set.full(g5)
@@ -516,6 +549,13 @@ def test_remark12_p11_bound_only():
     assert rep.applies and rep.K == 4
     assert rep.delta == pytest.approx(0.2240, abs=1e-3)
     assert rep.passed
+
+
+def test_remark12_rejects_negative_trials():
+    """The trial count is checked whether or not the bound gives K = 4."""
+    for p in (5, 7):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            remark12(p, trials=-1)
 
 
 def test_remark12_p5_not_implied():
