@@ -10,6 +10,9 @@ this process through ``sumsetlab.cli.run``:
 * ``theorem1`` at m = 3 and ``theorem1`` and ``plunnecke`` on mixed moduli,
   so that the m = 3 chain step and multi-axis translates are covered;
 * ``sl2 ruzsa``, ``sl2 gowers`` and ``sl2 theorem4`` at p = 13 and 17;
+* ``sl2 ruzsa`` at p = 7 and 11, so that the representation count runs at
+  two more primes, with BC^-1 = G (nothing to enumerate) and with BC^-1
+  more than half of G (its complement enumerated);
 
 each once with ``--seed 0`` and once with ``--seed 1``.  Each run leaves one
 file in OUTDIR holding its exit code on the first line and then its JSON
@@ -49,6 +52,8 @@ SL2_COMMANDS = [
     "sl2 ruzsa --p 17 --trials 3",
     "sl2 gowers --p 17 --size 1500 --trials 2",
     "sl2 theorem4 --p 17 --trials 1",
+    "sl2 ruzsa --p 7 --trials 10",
+    "sl2 ruzsa --p 11 --trials 3",
 ]
 _WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
 

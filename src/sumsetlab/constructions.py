@@ -265,6 +265,10 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
+class SingularRowsError(ValueError):
+    """The rows of a would-be basis are linearly dependent over Z_p."""
+
+
 @dataclass(frozen=True)
 class BasisMatrix:
     """n independent row vectors over Z_p."""
@@ -280,7 +284,7 @@ class BasisMatrix:
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ValueError(f"expected {self.n} rows of length {self.n}")
         if rank_mod_p(rows, self.p) != self.n:
-            raise ValueError(f"rows are not linearly independent over Z_{self.p}")
+            raise SingularRowsError(f"rows are not linearly independent over Z_{self.p}")
         object.__setattr__(self, "rows", rows)
 
     def to_multiset(self) -> ElementMultiset:
@@ -303,15 +307,18 @@ def standard_basis(p: int, n: int) -> ElementMultiset:
 
 def random_basis_matrix(p: int, n: int, seed: int, max_tries: int = 1000) -> BasisMatrix:
     """A uniformly-ish random basis: resample the n x n matrix until it is
-    invertible mod p (expected O(1) retries)."""
+    invertible mod p (expected O(1) retries).  Each draw is ranked once, by
+    ``BasisMatrix`` itself, which rejects a singular draw."""
     p, n = int(p), int(n)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     rng = random.Random(seed)
     for _ in range(max_tries):
         rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-        if rank_mod_p(rows, p) == n:
+        try:
             return BasisMatrix(p, n, rows)
+        except SingularRowsError:
+            continue
     raise SearchBudgetError(f"no invertible {n}x{n} matrix mod {p} in {max_tries} draws")
 
 

@@ -10,9 +10,14 @@ packed keys in a p^4 bool array, a few rows of X at a time, read members
 back by key, and stop once the product is all of G.  Rows of the table are
 filled on demand: each chunk of X fills the rows its elements use that no
 earlier chunk filled, so a product that covers G after its first chunk
-computes only the rows that chunk used.  Sets are
-``GroupSet`` bitmasks over these element indices, the same set type the
-Abelian engine uses.
+computes only the rows that chunk used.  The Ruzsa representation count
+r(z) = |X ∩ zY^-1|, with X = AB^-1 and Y = BC^-1, runs the same kernel:
+the row action on the inverses of Y (or of its complement, whichever is
+smaller) gives the keys of z * y^-1 for each z in AC^-1, and a p^4-byte
+mask of X's keys turns each r(z) into a row sum.
+Sets are ``GroupSet`` bitmasks over these element indices, the same set
+type the Abelian engine uses; the SL2 entry points refuse sets over any
+other group with a ``ValueError``.
 
 Verified statements: the Ruzsa triangle inequality (with its
 representation-count proof on small instances), triple-product covering in
@@ -228,10 +233,18 @@ def _index_array(x: GroupSet) -> np.ndarray:
     return _bit_indices(x.bits, (x.group.order + 7) >> 3)
 
 
+def _require_sl2(group) -> SL2Group:
+    """``group`` itself, once it is known to be an SL2 group."""
+    if not isinstance(group, SL2Group):
+        kind = type(group).__name__
+        raise ValueError(f"expected sets over SL2(Z_p), got sets over {kind} {group}")
+    return group
+
+
 def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
     """{a*b : a in X, b in Y}; not commutative in general."""
     _same_spec(x.group, y.group)
-    g = x.group
+    g = _require_sl2(x.group)
     if x.card == 0 or y.card == 0:
         return GroupSet.empty(g)
     if is_cover(x) or is_cover(y):
@@ -249,7 +262,7 @@ def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
 
 def inverse_set(x: GroupSet) -> GroupSet:
     """{a^-1 : a in X}."""
-    g = x.group
+    g = _require_sl2(x.group)
     if x.card == 0:
         return x
     out = np.zeros(g.order, dtype=bool)
@@ -289,12 +302,20 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet, count_limit: int = _COUNT
 
     The inequality itself is checked in exact integer arithmetic:
     |AC^-1| * |B| <= |AB^-1| * |BC^-1|.
+
+    The count runs when |AB^-1| * |BC^-1| <= ``count_limit``.  With
+    X = AB^-1 and Y = BC^-1, the number of factorisations of z is
+    r(z) = |X ∩ zY^-1|, and r(z) is evaluated only for z in AC^-1, the only
+    elements the verdict reads.  When Y is more than half of G the count
+    enumerates the complement Y^c instead, through the exact identity
+    r(z) = |X| - |X ∩ z(Y^c)^-1| (zG^-1 is all of G), so the least r(z)
+    is |X| minus the largest complement count; for Y = G every r(z) is |X|.
     """
     _same_spec(a.group, b.group)
     _same_spec(a.group, c.group)
+    g = _require_sl2(a.group)
     if b.card == 0:
         raise ValueError("B must be nonempty")
-    g = a.group
     c_inv = inverse_set(c)
     ac = product_set(a, c_inv)
     ab = product_set(a, inverse_set(b))
@@ -306,14 +327,7 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet, count_limit: int = _COUNT
     count_ok: bool | None = None
     if ac.card and ab.card * bc.card <= count_limit:
         count_checked = True
-        counts = np.zeros(g.order, dtype=np.int64)
-        ix = _index_array(ab)
-        iy = _index_array(bc)
-        act = g._row_action(iy)
-        act.fill()  # the count visits every cell, so it uses every row
-        for keys in act.chunks(ix):
-            counts += np.bincount(g._lut[keys].ravel(), minlength=g.order)
-        min_reps = int(counts[_index_array(ac)].min())
+        min_reps = _min_representations(ab, bc, ac)
         count_ok = min_reps >= b.card
     return RuzsaReport(
         p=g.p,
@@ -330,6 +344,27 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet, count_limit: int = _COUNT
         count_ok=count_ok,
         passed=inequality_ok and count_ok is not False,
     )
+
+
+def _min_representations(x: GroupSet, y: GroupSet, targets: GroupSet) -> int:
+    """The least r(z) = |X ∩ zY^-1| over z in the nonempty ``targets``.
+
+    The enumerated side S is the smaller of Y and Y^c.  The row action on
+    S^-1 gives the packed keys of z * s^-1 for a few rows z of ``targets``
+    at a time, and a p^4-byte mask of X's keys turns each count into a row
+    sum, with no key-to-index lookup and no order-sized bins.
+    """
+    g = x.group
+    complement = 2 * y.card > g.order
+    side = GroupSet(g, y.bits ^ GroupSet.full(g).bits) if complement else y
+    if side.card == 0:
+        return x.card
+    in_x = np.zeros(g.p**4, dtype=np.uint8)
+    in_x[g._keys[_index_array(x)]] = 1
+    act = g._row_action(g.inv[_index_array(side)])
+    chunks = act.chunks(_index_array(targets))
+    sums = np.concatenate([np.take(in_x, keys).sum(axis=1, dtype=np.int64) for keys in chunks])
+    return x.card - int(sums.max()) if complement else int(sums.min())
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +413,7 @@ def check_gowers(a: GroupSet, b: GroupSet, c: GroupSet) -> GowersReport:
     """Premise is evaluated in exact integers: |A||B||C| * D > N^3."""
     _same_spec(a.group, b.group)
     _same_spec(a.group, c.group)
-    g = a.group
+    g = _require_sl2(a.group)
     if g.p < 5:
         raise ValueError(f"requires p >= 5, got p={g.p}")
     info = quasirandom_info(g.p)
@@ -462,7 +497,7 @@ def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None
     """``verify_theorem4``, taking the hypothesis verdicts when the caller
     already knows them (a trial runner whose sampler accepted each set
     only once A A^-1 covered G); ``None`` tests every set."""
-    if family and family[0].group.p < 5:
+    if family and _require_sl2(family[0].group).p < 5:
         raise ValueError(f"requires p >= 5, got p={family[0].group.p}")
     family, hypothesis_ok, chain, block_products, chain_ok = _prefix_chain(
         family,

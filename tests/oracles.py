@@ -6,6 +6,7 @@ fast bitmask engine can be checked against code with no shared machinery.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from math import prod
 
@@ -62,6 +63,16 @@ def naive_sl2_mul(p, x, y):
 
 def naive_sl2_product_set(p, xs, ys):
     return frozenset(naive_sl2_mul(p, x, y) for x in xs for y in ys)
+
+
+def naive_sl2_inverse(p, x):
+    a, b, c, d = x
+    return (d, -b % p, -c % p, a)
+
+
+def naive_sl2_representations(p, xs, ys):
+    """How many pairs (x, y) in xs x ys have x * y = z, for every z."""
+    return Counter(naive_sl2_mul(p, x, y) for x in xs for y in ys)
 
 
 def naive_sl2_elements(p):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumsetlab import constructions
 from sumsetlab.config import OrderCapError
 from sumsetlab.constructions import (
     BasisMatrix,
@@ -148,6 +149,23 @@ def test_random_basis_independent_and_deterministic(seed):
     m = random_basis_matrix(2, 3, seed)
     assert rank_mod_p(m.rows, 2) == 3
     assert random_basis(2, 3, seed) == random_basis(2, 3, seed)
+
+
+def test_random_basis_ranks_each_draw_once(monkeypatch):
+    ranked = []
+    rank = constructions.rank_mod_p
+
+    def counted(rows, p):
+        ranked.append(rows)
+        return rank(rows, p)
+
+    monkeypatch.setattr(constructions, "rank_mod_p", counted)
+    for seed in range(20):
+        ranked.clear()
+        m = random_basis_matrix(2, 3, seed)
+        # Every draw before the accepted one is singular, and none is ranked twice.
+        assert [rank(rows, 2) == 3 for rows in ranked] == [False] * (len(ranked) - 1) + [True]
+        assert ranked[-1] == m.rows
 
 
 def test_enumerate_bases_counts():

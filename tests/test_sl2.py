@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import naive_sl2_elements, naive_sl2_mul, naive_sl2_product_set
+from oracles import (
+    naive_sl2_elements,
+    naive_sl2_inverse,
+    naive_sl2_mul,
+    naive_sl2_product_set,
+    naive_sl2_representations,
+)
 from sumsetlab import sl2
 from sumsetlab.sl2 import (
     SL2Group,
@@ -26,7 +32,8 @@ from sumsetlab.sl2 import (
     verify_theorem4,
 )
 from sumsetlab.constructions import SearchBudgetError
-from sumsetlab.setops import is_cover, set_from_json, set_to_json
+from sumsetlab.groups import parse_group_spec
+from sumsetlab.setops import GroupSet, is_cover, set_from_json, set_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +355,96 @@ def test_ruzsa_representation_count_without_table(chunk_cells, monkeypatch):
     reps = Counter(naive_sl2_mul(17, x, y) for x in ab for y in bc)
     ac = naive_sl2_product_set(17, a.coords(), inv(c))
     assert r.count_checked and r.min_representations == min(reps[z] for z in ac)
+
+
+# Each branch of the count: Y at most half of G (Y enumerated), Y more than
+# half (its complement enumerated), Y = G (nothing enumerated), X = G, and
+# singletons.
+_SIDES = {
+    "single": lambda n: (1, 1),
+    "sparse": lambda n: (2, n // 2),
+    "dense": lambda n: (n // 2 + 1, n - 1),
+    "full": lambda n: (n, n),
+}
+_COUNT_CASES = [
+    ("sparse", "sparse"),
+    ("sparse", "dense"),
+    ("dense", "dense"),
+    ("sparse", "full"),
+    ("full", "sparse"),
+    ("full", "dense"),
+    ("single", "single"),
+    ("dense", "single"),
+]
+
+
+@st.composite
+def _sl2_subset(draw, g, side):
+    size = draw(st.integers(*_SIDES[side](g.order)))
+    seed = draw(st.integers(0, 2**32))
+    return SL2Set.from_indices(g, random.Random(seed).sample(range(g.order), size))
+
+
+@pytest.mark.parametrize("x_side,y_side", _COUNT_CASES)
+@pytest.mark.parametrize("p", [5, 7])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_min_representations_matches_naive(p, x_side, y_side, data):
+    g = sl2_group(p)
+    x = data.draw(_sl2_subset(g, x_side), label="X")
+    y = data.draw(_sl2_subset(g, y_side), label="Y")
+    targets = data.draw(_sl2_subset(g, data.draw(st.sampled_from(list(_SIDES)))), label="Z")
+    reps = naive_sl2_representations(p, x.coords(), y.coords())
+    assert sl2._min_representations(x, y, targets) == min(reps[z] for z in targets.coords())
+
+
+def test_ruzsa_representation_count_complement_branch_p11():
+    g = sl2_group(11)
+    rng = random.Random(3)
+    a, b, c = (SL2Set.from_indices(g, rng.sample(range(g.order), 35)) for _ in range(3))
+    r = check_ruzsa(a, b, c)
+
+    def inv(s):
+        return [naive_sl2_inverse(11, x) for x in s.coords()]
+
+    ab = naive_sl2_product_set(11, a.coords(), inv(b))
+    bc = naive_sl2_product_set(11, b.coords(), inv(c))
+    ac = naive_sl2_product_set(11, a.coords(), inv(c))
+    assert 2 * len(bc) > g.order  # Y^c is the enumerated side
+    reps = naive_sl2_representations(11, ab, bc)
+    assert r.count_checked and r.min_representations == min(reps[z] for z in ac)
+    assert (r.card_ab_inv, r.card_bc_inv, r.card_ac_inv) == (len(ab), len(bc), len(ac))
+
+
+def test_ruzsa_representation_count_memory_bounded():
+    g = sl2_group(13)
+    rng = random.Random(0)
+    a, b, c = (SL2Set.from_indices(g, rng.sample(range(g.order), 40)) for _ in range(3))
+    tracemalloc.start()
+    try:
+        r = check_ruzsa(a, b, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.count_checked
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s: product_set(s, s),
+        inverse_set,
+        lambda s: check_ruzsa(s, s, s),
+        lambda s: check_gowers(s, s, s),
+        lambda s: verify_theorem4([s, s, s]),
+    ],
+    ids=["product_set", "inverse_set", "check_ruzsa", "check_gowers", "verify_theorem4"],
+)
+def test_sl2_entry_points_refuse_abelian_sets(entry):
+    s = GroupSet.from_indices(parse_group_spec("Z6xZ10"), [1, 2, 7])
+    with pytest.raises(ValueError, match="GroupSpec"):
+        entry(s)
 
 
 # ---------------------------------------------------------------------------
