@@ -13,6 +13,9 @@ this process through ``sumsetlab.cli.run``:
 * ``sl2 ruzsa`` at p = 7 and 11, so that the representation count runs at
   two more primes, with BC^-1 = G (nothing to enumerate) and with BC^-1
   more than half of G (its complement enumerated);
+* ``theorem1``, ``sl2 gowers`` and ``plunnecke`` runs whose operand sizes
+  meet or straddle the pigeonhole bound |A| + |B| = |G|, at which the
+  kernels must still run;
 
 each once with ``--seed 0`` and once with ``--seed 1``.  Each run leaves one
 file in OUTDIR holding its exit code on the first line and then its JSON
@@ -55,6 +58,11 @@ SL2_COMMANDS = [
     "sl2 ruzsa --p 7 --trials 10",
     "sl2 ruzsa --p 11 --trials 3",
 ]
+PIGEONHOLE_COMMANDS = [
+    "theorem1 --group Z2^6 --m 2 --trials 5 --density 0.5",
+    "sl2 gowers --p 5 --size 60 --trials 5",
+    "plunnecke --group Z2^6 --trials 200",
+]
 _WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
 
 
@@ -76,7 +84,7 @@ def main(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, payload in SET_FILES.items():
         (outdir / name).write_text(json.dumps(payload), encoding="utf-8")
-    commands = readme_commands() + ABELIAN_COMMANDS + SL2_COMMANDS
+    commands = readme_commands() + ABELIAN_COMMANDS + SL2_COMMANDS + PIGEONHOLE_COMMANDS
     with contextlib.chdir(outdir):
         for i, command in enumerate(commands):
             for seed in (0, 1):

@@ -4,7 +4,8 @@ walker of both covering theorems, and the Abelian sumset kernel.
 A set is an immutable Python-int bitmask over element indices (bit i set
 iff element i is a member), so unions and translates run word-parallel on
 CPython's big-int limbs.  The same set type serves both engines: its group
-is a ``GroupSpec`` or an ``SL2Group``.  ``sumset`` iterates the members of
+is a ``GroupSpec`` or an ``SL2Group``.  ``sumset`` returns G at once when
+``|A| + |B| > |G|`` (pigeonhole); otherwise it iterates the members of
 the smaller operand and ORs whole-set translates of the larger one.  A
 translate walks the element's index digits, least significant first: each
 nonzero digit is a shift/mask pass along its axis, and the walk stops
@@ -312,9 +313,13 @@ def translate(a: GroupSet, g: int) -> GroupSet:
 def _sum_bits(spec: GroupSpec, xbits: int, ybits: int) -> int:
     if xbits == 0 or ybits == 0:
         return 0
-    if xbits.bit_count() > ybits.bit_count():
-        xbits, ybits = ybits, xbits
+    xcard = xbits.bit_count()
+    ycard = ybits.bit_count()
     kern = _kernel(spec)
+    if xcard + ycard > kern.order:
+        return kern.full  # pigeonhole: A meets g - B for every g
+    if xcard > ycard:
+        xbits, ybits = ybits, xbits
     acc = 0
     for g in _bit_indices(xbits, kern.nbytes).tolist():
         acc |= kern.translate(ybits, g)
@@ -324,7 +329,11 @@ def _sum_bits(spec: GroupSpec, xbits: int, ybits: int) -> int:
 
 
 def sumset(a: GroupSet, b: GroupSet) -> GroupSet:
-    """The sumset ``{x + y : x in A, y in B}``; empty if either input is."""
+    """The sumset ``{x + y : x in A, y in B}``; empty if either input is.
+
+    When ``|A| + |B| > |G|`` the result is G with no kernel pass: by
+    pigeonhole, A and g - B meet for every g.
+    """
     _same_spec(a.group, b.group)
     return GroupSet(a.group, _sum_bits(a.group, a.bits, b.bits))
 

@@ -7,14 +7,16 @@ so for a set Y a (p^2, |Y|) table of r*y over the rows r turns each
 product x*y into two row gathers and an add, giving the packed key
 row1 * p^2 + row2 with no per-product arithmetic mod p.  Product sets mark
 packed keys in a p^4 bool array, a few rows of X at a time, read members
-back by key, and stop once the product is all of G.  Rows of the table are
-filled on demand: each chunk of X fills the rows its elements use that no
-earlier chunk filled, so a product that covers G after its first chunk
-computes only the rows that chunk used.  The Ruzsa representation count
-r(z) = |X ∩ zY^-1|, with X = AB^-1 and Y = BC^-1, runs the same kernel:
-the row action on the inverses of Y (or of its complement, whichever is
-smaller) gives the keys of z * y^-1 for each z in AC^-1, and a p^4-byte
-mask of X's keys turns each r(z) into a row sum.
+back by key, and stop once the product is all of G.  When |X| + |Y| > |G|
+the product is G by pigeonhole (X meets gY^-1 for every g) and no kernel
+pass runs.  Rows of the table are filled on demand: each chunk of X fills
+the rows its elements use that no earlier chunk filled, so a product that
+covers G after its first chunk computes only the rows that chunk used.
+The Ruzsa representation count r(z) = |X ∩ zY^-1|, with X = AB^-1 and
+Y = BC^-1, runs the same kernel: the row action on the inverses of Y (or
+of its complement, whichever is smaller) gives the keys of z * y^-1 for
+each z in AC^-1, and a p^4-byte mask of X's keys turns each r(z) into a
+row sum.
 Sets are ``GroupSet`` bitmasks over these element indices, the same set
 type the Abelian engine uses; the SL2 entry points refuse sets over any
 other group with a ``ValueError``.
@@ -242,13 +244,17 @@ def _require_sl2(group) -> SL2Group:
 
 
 def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
-    """{a*b : a in X, b in Y}; not commutative in general."""
+    """{a*b : a in X, b in Y}; not commutative in general.
+
+    When ``|X| + |Y| > |G|`` the result is G with no kernel pass: by
+    pigeonhole, X and gY^-1 meet for every g.
+    """
     _same_spec(x.group, y.group)
     g = _require_sl2(x.group)
     if x.card == 0 or y.card == 0:
         return GroupSet.empty(g)
-    if is_cover(x) or is_cover(y):
-        return GroupSet.full(g)  # G absorbs under products with nonempty sets
+    if x.card + y.card > g.order:
+        return GroupSet.full(g)  # pigeonhole: X meets gY^-1 for every g
     ix = _index_array(x)
     iy = _index_array(y)
     hit = np.zeros(g.p**4, dtype=bool)

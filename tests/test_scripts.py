@@ -44,7 +44,8 @@ def test_script_runs(script, args, header, monkeypatch, capsys):
 def test_cli_outputs_writes_masked_envelopes(tmp_path, monkeypatch):
     assert _run("cli_outputs.py", [str(tmp_path)], monkeypatch) == 0
     outputs = sorted(tmp_path.glob("*-seed[01].txt"))
-    assert len(outputs) == 46  # 11 README commands, 4 Abelian and 8 SL2 runs, at two seeds
+    # 11 README commands, 4 Abelian, 8 SL2 and 3 pigeonhole-bound runs, at two seeds
+    assert len(outputs) == 52
     for out in outputs:
         code, envelope = out.read_text(encoding="utf-8").split("\n", 1)
         assert code == "0"

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import naive_m_fold, naive_subset_sums, naive_sumset, naive_translate
+from sumsetlab import setops
 from sumsetlab.groups import GroupSpec, decode, encode, parse_group_spec
 from sumsetlab.setops import (
     _kernel,
@@ -27,14 +28,16 @@ def gset(spec, coords):
     return GroupSet.from_coords(spec, coords)
 
 
+def specs(max_order=256):
+    factors = st.lists(st.integers(2, 12), min_size=1, max_size=3).filter(
+        lambda f: math.prod(f) <= max_order
+    )
+    return factors.map(lambda f: GroupSpec(tuple(f)))
+
+
 @st.composite
 def spec_with_sets(draw, n_sets=2, max_order=256):
-    factors = draw(
-        st.lists(st.integers(2, 12), min_size=1, max_size=3).filter(
-            lambda f: math.prod(f) <= max_order
-        )
-    )
-    spec = GroupSpec(tuple(factors))
+    spec = draw(specs(max_order))
     sets = tuple(
         GroupSet(spec, draw(st.integers(0, (1 << spec.order) - 1))) for _ in range(n_sets)
     )
@@ -195,6 +198,53 @@ def test_sumset_size_bounds(args):
     assert max(a.card, b.card) <= s.card <= min(a.card * b.card, spec.order)
 
 
+def _sized_set(spec, size, seed):
+    return GroupSet.from_indices(spec, random.Random(seed).sample(range(spec.order), size))
+
+
+@settings(max_examples=100)
+@given(specs(), st.sampled_from([-1, 0, 1]), st.data())
+def test_sumset_at_pigeonhole_boundary(spec, offset, data):
+    """|A| + |B| is N - 1, N or N + 1: up to N the translate kernel runs,
+    above it the result is G without one."""
+    n = spec.order
+    total = n + offset
+    assume(total >= 2)
+    card_a = data.draw(st.integers(max(1, total - n), min(n, total - 1)))
+    a = _sized_set(spec, card_a, data.draw(st.integers(0, 2**32)))
+    b = _sized_set(spec, total - card_a, data.draw(st.integers(0, 2**32)))
+    got = sumset(a, b)
+    assert frozenset(got.coords()) == naive_sumset(spec.factors, a.coords(), b.coords())
+    if offset > 0:
+        assert is_cover(got)
+
+
+def test_sumset_pigeonhole_equality_not_forced():
+    """|H| + |H| = |G| leaves H + H = H for the subgroup H = {0, 2, 4} of Z6."""
+    z6 = GroupSpec((6,))
+    h = GroupSet.from_indices(z6, [0, 2, 4])
+    assert sumset(h, h) == h
+    assert m_fold(h, 2) == h and m_fold(h, 5) == h
+
+
+def test_sumset_pigeonhole_skips_kernel(monkeypatch):
+    spec = GroupSpec((6, 10))
+    calls = []
+    translate = setops._Kernel.translate
+
+    def counted(self, bits, g):
+        calls.append(g)
+        return translate(self, bits, g)
+
+    monkeypatch.setattr(setops._Kernel, "translate", counted)
+    a = _sized_set(spec, 30, 1)
+    assert sumset(a, _sized_set(spec, 31, 2)) == GroupSet.full(spec)
+    assert m_fold(_sized_set(spec, 31, 3), 4) == GroupSet.full(spec)
+    assert calls == []
+    sumset(a, _sized_set(spec, 30, 2))
+    assert calls
+
+
 # ---------------------------------------------------------------------------
 # m_fold
 
@@ -215,6 +265,17 @@ def test_m_fold_examples():
 @given(spec_with_sets(n_sets=1, max_order=125), st.integers(0, 8))
 def test_m_fold_matches_naive(args, m):
     spec, a = args
+    got = frozenset(m_fold(a, m).coords())
+    assert got == naive_m_fold(spec.factors, a.coords(), m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs(max_order=125), st.integers(2, 6), st.data())
+def test_m_fold_at_pigeonhole_boundary(spec, m, data):
+    """2|A| lies within 2 of N, so the first doubling sits at the bound."""
+    n = spec.order
+    card = data.draw(st.integers(max(1, (n - 1) // 2), (n + 2) // 2))
+    a = _sized_set(spec, card, data.draw(st.integers(0, 2**32)))
     got = frozenset(m_fold(a, m).coords())
     assert got == naive_m_fold(spec.factors, a.coords(), m)
 

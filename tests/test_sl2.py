@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -186,6 +187,10 @@ def test_product_set_no_table_path():
     )
 
 
+def _sized_sl2_set(g, size, seed):
+    return SL2Set.from_indices(g, random.Random(seed).sample(range(g.order), size))
+
+
 def _operand(g, data, max_random):
     kind = data.draw(st.sampled_from(["empty", "singleton", "full", "random"]))
     if kind == "empty":
@@ -195,8 +200,7 @@ def _operand(g, data, max_random):
     if kind == "singleton":
         return SL2Set.from_indices(g, [data.draw(st.integers(0, g.order - 1))])
     size = data.draw(st.integers(2, max_random))
-    seed = data.draw(st.integers(0, 2**32))
-    return SL2Set.from_indices(g, random.Random(seed).sample(range(g.order), size))
+    return _sized_sl2_set(g, size, data.draw(st.integers(0, 2**32)))
 
 
 @pytest.mark.parametrize("p,max_random", [(5, 120), (17, 40)])
@@ -213,6 +217,64 @@ def test_product_set_differential(p, max_random, data):
         mp.setattr(sl2, "_CHUNK_CELLS", data.draw(st.sampled_from([1, 64, 1000])))
         got = product_set(x, y)
     assert frozenset(got.coords()) == naive_sl2_product_set(p, x.coords(), y.coords())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@settings(max_examples=25, deadline=None)
+@given(offset=st.sampled_from([-1, 0, 1]), data=st.data())
+def test_product_set_at_pigeonhole_boundary(p, offset, data):
+    """|X| + |Y| is N - 1, N or N + 1: up to N the row kernel runs, above
+    it the result is G without one."""
+    g = sl2_group(p)
+    total = g.order + offset
+    card_x = data.draw(st.integers(max(1, total - g.order), min(g.order, total - 1)))
+    x = _sized_sl2_set(g, card_x, data.draw(st.integers(0, 2**32)))
+    y = _sized_sl2_set(g, total - card_x, data.draw(st.integers(0, 2**32)))
+    got = product_set(x, y)
+    assert frozenset(got.coords()) == naive_sl2_product_set(p, x.coords(), y.coords())
+    if offset > 0:
+        assert is_cover(got)
+
+
+def test_product_set_pigeonhole_equality_not_forced():
+    """|H| + |H| = |G| leaves H H = H for A3 in SL2(Z_2), which is S3."""
+    g = sl2_group(2)
+    h = SL2Set.from_coords(g, [(1, 0, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0)])
+    assert product_set(h, h) == h
+
+
+def test_product_set_pigeonhole_skips_kernel(monkeypatch):
+    g = sl2_group(7)
+    calls = []
+    row_action = SL2Group._row_action
+
+    def counted(self, iy):
+        calls.append(len(iy))
+        return row_action(self, iy)
+
+    monkeypatch.setattr(SL2Group, "_row_action", counted)
+    x = _sized_sl2_set(g, 168, 1)
+    assert product_set(x, _sized_sl2_set(g, 169, 2)) == SL2Set.full(g)
+    assert product_set(_sized_sl2_set(g, 1, 3), SL2Set.full(g)) == SL2Set.full(g)
+    assert calls == []
+    product_set(x, _sized_sl2_set(g, 168, 2))
+    assert calls
+
+
+def test_pigeonhole_lemma_sl2_exhaustive():
+    """|X| + |Y| > |G| forces XY = G, for every pair of subsets of
+    SL2(Z_2), checked with the naive oracle alone."""
+    elems = naive_sl2_elements(2)
+    n = len(elems)
+    subsets = [[e for i, e in enumerate(elems) if mask >> i & 1] for mask in range(1 << n)]
+    pairs = 0
+    for xs in subsets:
+        for ys in subsets:
+            if len(xs) + len(ys) > n:
+                assert naive_sl2_product_set(2, xs, ys) == frozenset(elems)
+                pairs += 1
+    # |X| + |Y| = n for comb(2n, n) pairs; half of the rest lie above n.
+    assert pairs == (4**n - math.comb(2 * n, n)) // 2
 
 
 def _count_chunk_rows(monkeypatch):
