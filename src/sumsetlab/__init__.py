@@ -4,7 +4,6 @@ with mechanical verification of covering bounds at desk scale."""
 from .abelian import (
     KpnSearchReport,
     KpnUpper,
-    PigeonholeReport,
     PlunneckeReport,
     Theorem1Report,
     check_plunnecke,
@@ -12,7 +11,6 @@ from .abelian import (
     kpn_exact_small,
     kpn_upper,
     pigeonhole_exhaustive,
-    pigeonhole_sum,
     plunnecke_trials,
     theorem1_bound,
     theorem1_bound_raw,

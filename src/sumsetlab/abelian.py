@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .constructions import enumerate_bases, random_basis_matrix, random_cover_set, random_set
-from .groups import GroupSpec, decode, is_prime, vector_space_spec
+from .groups import GroupSpec, is_prime, vector_space_spec
 from .reports import Report, map_trials
 from .setops import (
     ElementMultiset,
@@ -250,44 +250,6 @@ def theorem1_trials(
 
 # ---------------------------------------------------------------------------
 # Pigeonhole completion
-
-
-@dataclass
-class PigeonholeReport(Report):
-    """A + B = G whenever |A|, |B| > |G|/2; no claim otherwise."""
-
-    group: str
-    order: int
-    card_a: int
-    card_b: int
-    premise_met: bool
-    sum_card: int
-    sum_covers: bool
-    witness_missing: list[int] | None
-    passed: bool
-
-
-def pigeonhole_sum(a: GroupSet, b: GroupSet) -> PigeonholeReport:
-    _same_spec(a.group, b.group)
-    n = a.group.order
-    s = sumset(a, b)
-    premise = 2 * a.card > n and 2 * b.card > n
-    covers = is_cover(s)
-    witness = None
-    if premise and not covers:
-        comp = ((1 << n) - 1) & ~s.bits
-        witness = list(decode(a.group, (comp & -comp).bit_length() - 1))
-    return PigeonholeReport(
-        group=str(a.group),
-        order=n,
-        card_a=a.card,
-        card_b=b.card,
-        premise_met=premise,
-        sum_card=s.card,
-        sum_covers=covers,
-        witness_missing=witness,
-        passed=covers if premise else True,
-    )
 
 
 def pigeonhole_exhaustive(order: int) -> dict:

@@ -1,7 +1,9 @@
 """SL2 over a prime field: enumeration, product sets, and covering checks.
 
 The group is materialized as a lexicographically ordered list of matrices
-(a, b, c, d) with ad - bc = 1 mod p, so element indices are deterministic.
+(a, b, c, d) with ad - bc = 1 mod p.  Element indices have a closed form,
+(a * p + b) * p + t - p with t = c when a != 0 and t = d when a = 0, so
+indices, inverses and products map back to indices with no lookup table.
 Products go through the row action: row i of x*y is row i of x times y,
 so for a set Y a (p^2, |Y|) table of r*y over the rows r turns each
 product x*y into two row gathers and an add, giving the packed key
@@ -58,28 +60,22 @@ class SL2Group:
             raise ValueError(f"p must be prime, got {p}")
         order = p**3 - p
         check_order(order, "SL2 group order")
-        elements: list[tuple[int, int, int, int]] = []
-        for a in range(p):
-            for b in range(p):
-                for c in range(p):
-                    if a == 0:
-                        if (-b * c) % p == 1:
-                            elements.extend((a, b, c, d) for d in range(p))
-                    else:
-                        d = (pow(a, -1, p) * (1 + b * c)) % p
-                        elements.append((a, b, c, d))
-        if len(elements) != order:
-            raise RuntimeError(f"enumeration produced {len(elements)} != {order} elements")
         self.p = p
         self.order = order
-        self.elements = elements
-        self._E = np.array(elements, dtype=np.int64)
+        # Element i packs its first row and t (see ``_indices``) as i + p;
+        # the determinant gives the fourth entry.
+        row1, t = np.divmod(np.arange(p, order + p), p)
+        a, b = np.divmod(row1, p)
+        unit_inv = np.array([0] + [pow(u, -1, p) for u in range(1, p)])
+        c = np.where(a == 0, -unit_inv[b] % p, t)
+        d = np.where(a == 0, t, unit_inv[a] * (1 + b * t) % p)
+        self.elements = list(zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()))
         # Each row (u, v) of a matrix is indexed u * p + v, so an element's
         # packed key is row1 * p^2 + row2; keys below p^4 fit the key dtype.
-        self._row1 = self._E[:, 0] * p + self._E[:, 1]
-        self._row2 = self._E[:, 2] * p + self._E[:, 3]
+        self._row1 = row1
+        self._row2 = c * p + d
         self._key_dtype = np.int32 if p**4 <= np.iinfo(np.int32).max else np.int64
-        self._keys = self._pack(self._E)
+        self._keys = self._row1 * (p * p) + self._row2
         # _reduce[x * 2p + y] = (x mod p) * p + (y mod p) for x, y < 2p.
         q = np.arange(2 * p, dtype=self._key_dtype) % p
         self._reduce = (q[:, None] * p + q).ravel()
@@ -87,22 +83,22 @@ class SL2Group:
         # scaled by u, reduced mod p and packed in base 2p.
         m = np.outer(q[:p], q[:p]) % p
         self._half = (m[:, :, None] * (2 * p) + m[:, None, :]).reshape(p, p * p)
-        lut = np.full(p**4, -1, dtype=np.int32)
-        lut[self._keys] = np.arange(order, dtype=np.int32)
-        self._lut = lut
-        adj = np.column_stack(
-            [self._E[:, 3], -self._E[:, 1], -self._E[:, 2], self._E[:, 0]]
-        ) % p
-        self.inv = lut[self._pack(adj)]
-        self.identity = int(lut[self._pack_one(1, 0, 0, 1)])
+        # The inverse of (a, b, c, d) is its adjugate (d, -b, -c, a).
+        self.inv = self._indices(d * p + (-b % p), (-c % p) * p + a)
+        self.identity = p * p - p  # (1, 0, 0, 1): first row 1 * p + 0, t = c = 0
 
-    def _pack(self, rows: np.ndarray) -> np.ndarray:
-        p = self.p
-        return ((rows[:, 0] * p + rows[:, 1]) * p + rows[:, 2]) * p + rows[:, 3]
+    def _indices(self, row1, row2):
+        """Indices of the matrices with rows ``row1`` = a * p + b and
+        ``row2`` = c * p + d, for ints or integer arrays.
 
-    def _pack_one(self, a: int, b: int, c: int, d: int) -> int:
+        The matrices with a = 0 (so b != 0, c = -1/b and d free) come first,
+        then those with a != 0 (b and c free, d = (1 + bc)/a), each block in
+        lexicographic order.  Both blocks index as (a * p + b) * p + t - p,
+        with t = d when a = 0 and t = c when a != 0.
+        """
         p = self.p
-        return ((a * p + b) * p + c) * p + d
+        t = np.where(row1 < p, row2 % p, row2 // p)
+        return row1 * p + t - p
 
     def _row_action(self, iy: np.ndarray) -> _RowAction:
         """Products x * y for y in iy, as packed keys; see ``_RowAction``."""
@@ -110,7 +106,8 @@ class SL2Group:
 
     def product_indices(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         """Index matrix of x*y for x in ix (rows) and y in iy (columns)."""
-        return self._lut[self._row_action(iy).keys(ix)]
+        row1, row2 = np.divmod(self._row_action(iy).keys(ix), self.p**2)
+        return self._indices(row1, row2)
 
     def mul(self, i: int, j: int) -> int:
         return int(self.product_indices(np.array([i]), np.array([j]))[0, 0])
@@ -119,10 +116,9 @@ class SL2Group:
         if len(mat) != 4:
             raise ValueError(f"expected 4 matrix entries (a, b, c, d), got {len(mat)}")
         a, b, c, d = (int(v) % self.p for v in mat)
-        idx = int(self._lut[self._pack_one(a, b, c, d)])
-        if idx < 0:
+        if (a * d - b * c) % self.p != 1:
             raise ValueError(f"matrix {tuple(mat)} has determinant != 1 mod {self.p}")
-        return idx
+        return int(self._indices(a * self.p + b, c * self.p + d))
 
     def element(self, i: int) -> tuple[int, int, int, int]:
         return self.elements[i]
@@ -568,9 +564,6 @@ class Remark12Report(Report):
 
 
 def random_sl2_set(group: SL2Group, size: int, rng: random.Random) -> GroupSet:
-    size = int(size)
-    if not 0 <= size <= group.order:
-        raise ValueError(f"size {size} out of range for order {group.order}")
     return random_set(group, size, rng)
 
 

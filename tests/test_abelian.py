@@ -4,7 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import naive_subset_sums
+from oracles import naive_subset_sums, naive_sumset
 
 from sumsetlab import abelian
 from sumsetlab.abelian import (
@@ -14,7 +14,6 @@ from sumsetlab.abelian import (
     kpn_exact_small,
     kpn_upper,
     pigeonhole_exhaustive,
-    pigeonhole_sum,
     plunnecke_trials,
     theorem1_bound,
     theorem1_bound_raw,
@@ -255,22 +254,6 @@ def test_verify_theorem1_monotone_append():
 # Pigeonhole
 
 
-def test_pigeonhole_examples():
-    z5 = GroupSpec((5,))
-    rep = pigeonhole_sum(gset(z5, [0, 1, 2]), gset(z5, [0, 2, 4]))
-    assert rep.premise_met and rep.sum_covers and rep.passed
-
-    full = GroupSet.full(z5)
-    assert pigeonhole_sum(full, full).passed
-
-    z4 = GroupSpec((4,))
-    rep = pigeonhole_sum(gset(z4, [0, 1]), gset(z4, [0, 1]))
-    assert not rep.premise_met
-    assert rep.sum_card == 3 and not rep.sum_covers
-    assert rep.passed  # no claim when the premise is unmet
-    assert rep.witness_missing is None
-
-
 def test_pigeonhole_exhaustive_small():
     for n in range(1, 11):
         out = pigeonhole_exhaustive(n)
@@ -280,16 +263,15 @@ def test_pigeonhole_exhaustive_small():
 
 
 def test_pigeonhole_kernel_agrees_with_ops():
-    """Cross-check the word-parallel sweep against the real operations."""
+    """Cross-check the word-parallel sweep against the naive sumset."""
     for n in (5, 8):
-        spec = GroupSpec((n,))
+        factors = (n,)
         masks = [m for m in range(1 << n) if 2 * bin(m).count("1") > n]
+        members = [[(x,) for x in range(n) if m >> x & 1] for m in masks]
         pairs = 0
-        for i, am in enumerate(masks):
-            a = GroupSet(spec, am)
-            for bm in masks[i:]:
-                rep = pigeonhole_sum(a, GroupSet(spec, bm))
-                assert rep.premise_met and rep.sum_covers
+        for i, a in enumerate(members):
+            for b in members[i:]:
+                assert len(naive_sumset(factors, a, b)) == n
                 pairs += 1
         out = pigeonhole_exhaustive(n)
         assert out["pairs_checked"] == pairs

@@ -2,7 +2,8 @@
 
 Each script runs in process on a small input, as ``python scripts/<name>``
 would run it, and must exit 0.  The experiment scripts must print their
-table header; ``cli_outputs.py`` must write one masked envelope per run.
+table header; ``cli_outputs.py`` must write one masked envelope per run,
+and its digests must match ``tests/cli_outputs.sha256``.
 """
 
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+DIGESTS = Path(__file__).resolve().parent / "cli_outputs.sha256"
 
 
 @pytest.mark.parametrize(
@@ -41,8 +43,10 @@ def test_script_runs(script, args, header, monkeypatch, capsys):
     assert header in [line.split() for line in lines]
 
 
-def test_cli_outputs_writes_masked_envelopes(tmp_path, monkeypatch):
-    assert _run("cli_outputs.py", [str(tmp_path)], monkeypatch) == 0
+def test_cli_outputs_writes_masked_envelopes(tmp_path, monkeypatch, capsys):
+    assert _run("cli_outputs.py", ["--digests", str(tmp_path)], monkeypatch) == 0
+    # A deliberate output change regenerates the digest file (see the script).
+    assert capsys.readouterr().out == DIGESTS.read_text(encoding="utf-8")
     outputs = sorted(tmp_path.glob("*-seed[01].txt"))
     # 11 README commands, 4 Abelian, 8 SL2 and 3 pigeonhole-bound runs, at two seeds
     assert len(outputs) == 52

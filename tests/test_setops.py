@@ -138,6 +138,9 @@ def test_sumset_examples():
     assert sumset(a, GroupSet.identity(Z5)) == a
     assert sumset(a, GroupSet.empty(Z5)).card == 0
     assert sumset(GroupSet.empty(Z5), a).card == 0
+    z4 = GroupSpec((4,))
+    half = gset(z4, [(0,), (1,)])
+    assert sumset(half, half).card == 3  # |A| + |B| = |G| does not force a cover
 
 
 def test_sumset_spec_mismatch():

@@ -48,10 +48,13 @@ def test_enumeration_count(p, order):
     assert len(g.elements) == order
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_enumeration_matches_naive(p):
     g = sl2_group(p)
     assert g.elements == sorted(naive_sl2_elements(p))
+    for i, e in enumerate(g.elements):
+        assert g.index(e) == i
+        assert g.inv[i] == g.index(naive_sl2_inverse(p, e))
 
 
 def test_elements_lexicographic_and_unimodular():
@@ -110,13 +113,17 @@ def test_sl2_group_rejects_non_prime():
 
 
 def test_group_build_memory_bounded():
-    tracemalloc.start()
-    try:
-        SL2Group(13)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1 << 20
+    """The build holds at most 200 bytes per element: no table of p^4
+    entries (4p times the order) outlives it."""
+    for p, peak_bytes in [(13, 1 << 20), (47, 30 << 20)]:
+        tracemalloc.start()
+        try:
+            g = SL2Group(p)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= peak_bytes
+        assert held <= 200 * g.order
 
 
 def test_group_equality_and_index():
@@ -125,8 +132,11 @@ def test_group_equality_and_index():
     assert g != sl2_group(7)
     assert g.index((1, 0, 0, 1)) == g.identity
     assert g.index((6, 5, 5, 6)) == g.index((1, 0, 0, 1))  # entries reduced mod p
-    with pytest.raises(ValueError):
-        g.index((1, 0, 0, 2))
+    for mat in [(1, 0, 0, 2), (2, 1, 1, 2), (0, 0, 3, 4), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="determinant"):
+            g.index(mat)
+    with pytest.raises(ValueError, match="4 matrix entries"):
+        g.index((1, 0, 0))
 
 
 # ---------------------------------------------------------------------------
