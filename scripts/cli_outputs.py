@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Capture the CLI's output on a fixed set of commands, for diffing two checkouts.
 
-Usage: python scripts/cli_outputs.py [--digests] OUTDIR
+Usage: python scripts/cli_outputs.py OUTDIR
 
 Writes the set files ``a.json`` and ``b.json`` into OUTDIR, then runs, in
 this process through ``sumsetlab.cli.run``:
@@ -21,11 +21,11 @@ each once with ``--seed 0`` and once with ``--seed 1``.  Each run leaves one
 file in OUTDIR holding its exit code on the first line and then its JSON
 envelope, with the ``wall_time_s`` value masked.  Two checkouts behave the
 same on these commands when ``diff -r`` over their OUTDIRs prints nothing.
-With ``--digests`` the script prints one ``sha256  name`` line per output
-instead of a summary.  ``tests/cli_outputs.sha256`` holds these lines for
-the committed code, and the test suite compares a fresh run against it, so
-a change of output shows up as a failing test.  Regenerate the file with
-``python scripts/cli_outputs.py --digests OUTDIR > tests/cli_outputs.sha256``.
+The script prints one ``sha256  name`` line per output.
+``tests/cli_outputs.sha256`` holds these lines for the committed code, and
+the test suite compares a fresh run against it, so a change of output shows
+up as a failing test.  Regenerate the file with
+``python scripts/cli_outputs.py OUTDIR > tests/cli_outputs.sha256``.
 The set files are read by relative path, so the envelopes do not depend on
 where OUTDIR is.
 """
@@ -86,7 +86,7 @@ def capture(argv: list[str]) -> str:
     return f"{code}\n" + _WALL_TIME.sub('"wall_time_s": "masked"', out.getvalue())
 
 
-def main(outdir: Path, digests: bool = False) -> int:
+def main(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, payload in SET_FILES.items():
         (outdir / name).write_text(json.dumps(payload), encoding="utf-8")
@@ -101,16 +101,12 @@ def main(outdir: Path, digests: bool = False) -> int:
                 text = capture(argv).encode("utf-8")
                 Path(name).write_bytes(text)
                 lines.append(f"{hashlib.sha256(text).hexdigest()}  {name}")
-    if digests:
-        print("\n".join(lines))
-    else:
-        print(f"wrote {len(lines)} outputs for {len(commands)} commands to {outdir}")
+    print("\n".join(lines))
     return 0
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("outdir", type=Path, help="directory for the set files and outputs")
-    parser.add_argument("--digests", action="store_true", help="print a sha256 line per output")
     args = parser.parse_args()
-    raise SystemExit(main(args.outdir, args.digests))
+    raise SystemExit(main(args.outdir))

@@ -115,10 +115,12 @@ class SL2Group:
     def index(self, mat: Sequence[int]) -> int:
         if len(mat) != 4:
             raise ValueError(f"expected 4 matrix entries (a, b, c, d), got {len(mat)}")
-        a, b, c, d = (int(v) % self.p for v in mat)
-        if (a * d - b * c) % self.p != 1:
-            raise ValueError(f"matrix {tuple(mat)} has determinant != 1 mod {self.p}")
-        return int(self._indices(a * self.p + b, c * self.p + d))
+        p = self.p
+        a, b, c, d = (int(v) % p for v in mat)
+        if (a * d - b * c) % p != 1:
+            raise ValueError(f"matrix {tuple(mat)} has determinant != 1 mod {p}")
+        # ``_indices`` on plain ints, without its per-call numpy overhead.
+        return (a * p + b) * p + (d if a == 0 else c) - p
 
     def element(self, i: int) -> tuple[int, int, int, int]:
         return self.elements[i]

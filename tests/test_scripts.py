@@ -44,7 +44,7 @@ def test_script_runs(script, args, header, monkeypatch, capsys):
 
 
 def test_cli_outputs_writes_masked_envelopes(tmp_path, monkeypatch, capsys):
-    assert _run("cli_outputs.py", ["--digests", str(tmp_path)], monkeypatch) == 0
+    assert _run("cli_outputs.py", [str(tmp_path)], monkeypatch) == 0
     # A deliberate output change regenerates the digest file (see the script).
     assert capsys.readouterr().out == DIGESTS.read_text(encoding="utf-8")
     outputs = sorted(tmp_path.glob("*-seed[01].txt"))
