@@ -16,6 +16,8 @@ this process through ``sumsetlab.cli.run``:
 * ``theorem1``, ``sl2 gowers`` and ``plunnecke`` runs whose operand sizes
   meet or straddle the pigeonhole bound |A| + |B| = |G|, at which the
   kernels must still run;
+* ``example1`` at (p, k) = (5, 2) and (3, 3), so that the half-zero family
+  is pinned at more than one size;
 
 each once with ``--seed 0`` and once with ``--seed 1``.  Each run leaves one
 file in OUTDIR holding its exit code on the first line and then its JSON
@@ -69,6 +71,10 @@ PIGEONHOLE_COMMANDS = [
     "sl2 gowers --p 5 --size 60 --trials 5",
     "plunnecke --group Z2^6 --trials 200",
 ]
+EXAMPLE1_COMMANDS = [
+    "example1 --p 5 --k 2",
+    "example1 --p 3 --k 3",
+]
 _WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
 
 
@@ -90,7 +96,10 @@ def main(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, payload in SET_FILES.items():
         (outdir / name).write_text(json.dumps(payload), encoding="utf-8")
-    commands = readme_commands() + ABELIAN_COMMANDS + SL2_COMMANDS + PIGEONHOLE_COMMANDS
+    commands = (
+        readme_commands() + ABELIAN_COMMANDS + SL2_COMMANDS + PIGEONHOLE_COMMANDS
+        + EXAMPLE1_COMMANDS
+    )
     lines = []
     with contextlib.chdir(outdir):
         for i, command in enumerate(commands):
