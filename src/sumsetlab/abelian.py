@@ -38,6 +38,7 @@ from .setops import (
 )
 
 REL_GUARD = 1e-9
+_PLUNNECKE_KS = (2, 3, 4)  # the k that ``plunnecke_trials`` draws from
 
 
 def _least_integer_at_least(value: float) -> int:
@@ -96,19 +97,14 @@ def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> PlunneckeReport:
     )
 
 
-def plunnecke_trials(
-    spec: GroupSpec,
-    trials: int,
-    seed: int,
-    k_choices: Sequence[int] = (2, 3, 4),
-) -> list[PlunneckeReport]:
+def plunnecke_trials(spec: GroupSpec, trials: int, seed: int) -> list[PlunneckeReport]:
     """Seeded random nonempty (A, B, k) instances; per-trial seed is seed+i."""
 
     def one(rng: random.Random) -> PlunneckeReport:
         n = spec.order
         a = random_set(spec, rng.randint(1, n), rng)
         b = random_set(spec, rng.randint(1, n), rng)
-        return check_plunnecke(a, b, rng.choice(list(k_choices)))
+        return check_plunnecke(a, b, rng.choice(_PLUNNECKE_KS))
 
     return map_trials(one, trials, seed)
 

@@ -9,7 +9,9 @@ is the ``2^(k-i)``-fold blockwise product of ``C_i``.  For p >= 3 each
 ``A_0 + ... + A_j`` stays inside ``(Z_p^{2^j} \\ {0})^{2^(k-j)}`` -- the
 gap these tools measure.  For p = 2 the i = 1 block degenerates
 (``C_1 + C_1`` misses half of ``Z_2^2``); the generators warn and the
-report flags it rather than papering over it.
+report flags it rather than papering over it.  Over element indices a
+blockwise product is a Kronecker product of indicator vectors, so each set
+is a Kronecker power built from the indicator of ``{0}`` and packed once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ import numpy as np
 from .config import check_order, order_cap
 from .groups import GroupSpec, is_prime, vector_space_spec
 from .reports import Report
-from .setops import ElementMultiset, GroupSet, _bits_from_bool, is_cover, m_fold, sumset
+from .setops import ElementMultiset, GroupSet, is_cover, m_fold, sumset
+
+# Draws before a rejection sampler gives up, and the largest candidate pool
+# that ``enumerate_bases`` walks.
+_BASIS_TRIES = 1000
+_COVER_TRIES = 200
+_BASES_CAP = 200_000
 
 
 class SearchBudgetError(RuntimeError):
@@ -43,15 +51,30 @@ def _guard_power(p: int, n: int) -> None:
 # Half-zero product family
 
 
-def _half_zero_coords(p: int, i: int) -> list[tuple[int, ...]]:
-    half = 2 ** (i - 1)
-    zeros = (0,) * half
-    out: list[tuple[int, ...]] = []
-    for v in itertools.product(range(p), repeat=half):
-        if any(v):
-            out.append(zeros + v)
-            out.append(v + zeros)
-    return out
+def _warn_p2(p: int) -> None:
+    if p == 2:
+        msg = "half-zero family degenerates for p=2: C_1 + C_1 misses half of Z_2^2"
+        warnings.warn(msg, stacklevel=3)
+
+
+def _zero(p: int, h: int) -> np.ndarray:
+    """The indicator of ``{0}`` in ``Z_p^h``, over element indices."""
+    mask = np.zeros(p**h, dtype=bool)
+    mask[0] = True
+    return mask
+
+
+def _kron_doublings(mask: np.ndarray, times: int) -> np.ndarray:
+    """The ``2^times``-fold Kronecker power: that many blocks of ``mask``."""
+    for _ in range(times):
+        mask = np.kron(mask, mask)
+    return mask
+
+
+def _half_zero_mask(p: int, i: int) -> np.ndarray:
+    """The indicator of C_i: one half of the axes all zero, the other not."""
+    zero = _zero(p, 2 ** (i - 1))
+    return np.kron(zero, ~zero) | np.kron(~zero, zero)
 
 
 def example_C(p: int, i: int) -> GroupSet:
@@ -62,14 +85,9 @@ def example_C(p: int, i: int) -> GroupSet:
         raise ValueError(f"p must be >= 2, got {p}")
     if i < 1:
         raise ValueError(f"block level must be >= 1, got {i}")
-    if p == 2:
-        warnings.warn(
-            "half-zero family degenerates for p=2: C_1 + C_1 misses half of Z_2^2",
-            stacklevel=2,
-        )
+    _warn_p2(p)
     _guard_power(p, 2**i)
-    spec = vector_space_spec(p, 2**i)
-    return GroupSet.from_coords(spec, _half_zero_coords(p, i))
+    return GroupSet.from_mask(vector_space_spec(p, 2**i), _half_zero_mask(p, i))
 
 
 def example_A(p: int, k: int, i: int) -> GroupSet:
@@ -83,22 +101,11 @@ def example_A(p: int, k: int, i: int) -> GroupSet:
     n = 2**k
     _guard_power(p, n)
     check_order(p**n, f"group Z{p}^{n}")
-    spec = vector_space_spec(p, n)
     if i == 0:
-        cube = itertools.product(range(1, p), repeat=n)
-        return GroupSet.from_coords(spec, cube)
-    if p == 2:
-        warnings.warn(
-            "half-zero family degenerates for p=2: C_1 + C_1 misses half of Z_2^2",
-            stacklevel=2,
-        )
-    block = _half_zero_coords(p, i)
-    nblocks = 2 ** (k - i)
-    prod = (
-        tuple(itertools.chain.from_iterable(parts))
-        for parts in itertools.product(block, repeat=nblocks)
-    )
-    return GroupSet.from_coords(spec, prod)
+        return _punctured_product(p, 0, k)
+    _warn_p2(p)
+    mask = _kron_doublings(_half_zero_mask(p, i), k - i)
+    return GroupSet.from_mask(vector_space_spec(p, n), mask)
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,7 @@ def verify_example1(p: int, k: int) -> Example1Report:
         if p == 2:
             warnings.simplefilter("ignore")
         fam = example1_family(p, k)
+        blocks = [example_C(p, i) for i in range(1, k + 1)]
     spec = fam.spec
     n = fam.n
     report = Example1Report(p=p, k=k, n=n, order=spec.order, p2_degenerate=(p == 2))
@@ -174,11 +182,7 @@ def verify_example1(p: int, k: int) -> Example1Report:
     report.cards = [a.card for a in fam.sets]
     report.cards_ok = report.cards == report.expected_cards
 
-    for i in range(1, k + 1):
-        with warnings.catch_warnings():
-            if p == 2:
-                warnings.simplefilter("ignore")
-            c = example_C(p, i)
+    for i, c in enumerate(blocks, 1):
         csum = sumset(c, c)
         entry = {
             "i": i,
@@ -227,14 +231,8 @@ def verify_example1(p: int, k: int) -> Example1Report:
 
 def _punctured_product(p: int, j: int, k: int) -> GroupSet:
     """``(Z_p^{2^j} \\ {0})^{2^(k-j)}`` embedded blockwise in ``Z_p^{2^k}``."""
-    spec = vector_space_spec(p, 2**k)
-    blockdim = 2**j
-    nonzero = [v for v in itertools.product(range(p), repeat=blockdim) if any(v)]
-    prod = (
-        tuple(itertools.chain.from_iterable(parts))
-        for parts in itertools.product(nonzero, repeat=2 ** (k - j))
-    )
-    return GroupSet.from_coords(spec, prod)
+    mask = _kron_doublings(~_zero(p, 2**j), k - j)
+    return GroupSet.from_mask(vector_space_spec(p, 2**k), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +303,21 @@ def standard_basis(p: int, n: int) -> ElementMultiset:
     return standard_basis_matrix(p, n).to_multiset()
 
 
-def random_basis_matrix(p: int, n: int, seed: int, max_tries: int = 1000) -> BasisMatrix:
+def random_basis_matrix(p: int, n: int, seed: int) -> BasisMatrix:
     """A uniformly-ish random basis: resample the n x n matrix until it is
-    invertible mod p (expected O(1) retries).  Each draw is ranked once, by
+    invertible mod p (expected O(1) retries, at most ``_BASIS_TRIES``).  Each draw is ranked once, by
     ``BasisMatrix`` itself, which rejects a singular draw."""
     p, n = int(p), int(n)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_BASIS_TRIES):
         rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
         try:
             return BasisMatrix(p, n, rows)
         except SingularRowsError:
             continue
-    raise SearchBudgetError(f"no invertible {n}x{n} matrix mod {p} in {max_tries} draws")
+    raise SearchBudgetError(f"no invertible {n}x{n} matrix mod {p} in {_BASIS_TRIES} draws")
 
 
 def random_basis(p: int, n: int, seed: int) -> ElementMultiset:
@@ -327,14 +325,14 @@ def random_basis(p: int, n: int, seed: int) -> ElementMultiset:
     return random_basis_matrix(p, n, seed).to_multiset()
 
 
-def enumerate_bases(p: int, n: int, cap: int = 200_000) -> list[tuple[tuple[int, ...], ...]] | None:
+def enumerate_bases(p: int, n: int) -> list[tuple[tuple[int, ...], ...]] | None:
     """All unordered bases of Z_p^n as sorted row tuples, or None when the
-    candidate pool ``C(p^n - 1, n)`` exceeds ``cap``."""
+    candidate pool ``C(p^n - 1, n)`` exceeds ``_BASES_CAP``."""
     p, n = int(p), int(n)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     nonzero = [v for v in itertools.product(range(p), repeat=n) if any(v)]
-    if math.comb(len(nonzero), n) > cap:
+    if math.comb(len(nonzero), n) > _BASES_CAP:
         return None
     out = []
     for combo in itertools.combinations(nonzero, n):
@@ -359,21 +357,15 @@ def random_set(spec: GroupSpec, size: int, rng: random.Random) -> GroupSet:
         raise ValueError(f"size {size} out of range [0, {spec.order}]")
     mask = np.zeros(spec.order, dtype=bool)
     mask[rng.sample(range(spec.order), size)] = True
-    return GroupSet(spec, _bits_from_bool(mask))
+    return GroupSet.from_mask(spec, mask)
 
 
-def random_cover_set(
-    spec: GroupSpec,
-    m: int,
-    target_density: float,
-    seed: int,
-    max_tries: int = 200,
-) -> GroupSet:
+def random_cover_set(spec: GroupSpec, m: int, target_density: float, seed: int) -> GroupSet:
     """A seeded random set A of ``ceil(density * order)`` elements with
     ``m_fold(A, m)`` covering the group, found by rejection sampling.
 
-    Raises SearchBudgetError when the budget runs out, which signals that
-    the density is too low for the requested m on this group.
+    Raises SearchBudgetError when all ``_COVER_TRIES`` draws fail, which
+    signals that the density is too low for the requested m on this group.
     """
     if int(m) < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -381,11 +373,11 @@ def random_cover_set(
         raise ValueError(f"target density must be in (0, 1], got {target_density}")
     size = math.ceil(target_density * spec.order)
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_COVER_TRIES):
         a = random_set(spec, size, rng)
         if is_cover(m_fold(a, m)):
             return a
     raise SearchBudgetError(
         f"no {size}-element subset of {spec} with {m}-fold sumset covering the group "
-        f"in {max_tries} draws; density {target_density} is likely too low"
+        f"in {_COVER_TRIES} draws; density {target_density} is likely too low"
     )

@@ -3,13 +3,15 @@ walker of both covering theorems, and the Abelian sumset kernel.
 
 A set is an immutable Python-int bitmask over element indices (bit i set
 iff element i is a member), so unions and translates run word-parallel on
-CPython's big-int limbs.  The same set type serves both engines: its group
-is a ``GroupSpec`` or an ``SL2Group``.  ``sumset`` returns G at once when
-``|A| + |B| > |G|`` (pigeonhole); otherwise it iterates the members of
-the smaller operand and ORs whole-set translates of the larger one.  A
-translate walks the element's index digits, least significant first: each
-nonzero digit is a shift/mask pass along its axis, and the walk stops
-after the last nonzero digit.
+CPython's big-int limbs.  Its group is a ``GroupSpec`` or an ``SL2Group``.
+Only this module knows the layout: sets are packed from bool arrays over
+the indices (``GroupSet.from_mask``, linear in the order) and read back as
+ascending index arrays (``GroupSet.index_array``).  ``sumset`` returns G at
+once when ``|A| + |B| > |G|`` (pigeonhole); otherwise it iterates the
+members of the smaller operand and ORs whole-set translates of the larger
+one.  A translate walks the element's index digits, least significant
+first: each nonzero digit is a shift/mask pass along its axis, and the walk
+stops after the last nonzero digit.
 """
 
 from __future__ import annotations
@@ -163,18 +165,29 @@ class GroupSet:
         return cls(group, 1 << group.identity)
 
     @classmethod
+    def from_mask(cls, group: Group, mask: np.ndarray) -> GroupSet:
+        """The set of the i with ``mask[i]`` true; ``mask`` has length ``order``."""
+        if len(mask) != group.order:
+            raise ValueError(f"mask has length {len(mask)}, expected {group.order}")
+        return cls(group, _bits_from_bool(mask))
+
+    @classmethod
     def from_indices(cls, group: Group, indices: Iterable[int]) -> GroupSet:
-        bits = 0
-        for x in indices:
-            bits |= 1 << check_index(group, x)
-        return cls(group, bits)
+        """The set of the given indices, each validated, in one packing pass."""
+        mask = np.zeros(group.order, dtype=bool)
+        mask[[check_index(group, x) for x in indices]] = True
+        return cls.from_mask(group, mask)
 
     @classmethod
     def from_coords(cls, group: Group, coords: Iterable[Sequence[int]]) -> GroupSet:
         return cls.from_indices(group, (group.index(c) for c in coords))
 
+    def index_array(self) -> np.ndarray:
+        """The member indices as an ascending integer array."""
+        return _bit_indices(self.bits, (self.group.order + 7) >> 3)
+
     def indices(self) -> list[int]:
-        return _bit_indices(self.bits, (self.group.order + 7) >> 3).tolist()
+        return self.index_array().tolist()
 
     def coords(self) -> list[tuple[int, ...]]:
         return [self.group.element(x) for x in self.indices()]
@@ -433,17 +446,17 @@ def set_from_json(group: Group, payload: dict) -> GroupSet:
         elems = payload["elements"]
         if not isinstance(elems, list):
             raise ValueError("'elements' must be a list of coordinate tuples")
-        bits = 0
+        mask = np.zeros(group.order, dtype=bool)
         for c in elems:
             try:
                 x = group.index(c)
                 reduced = group.element(x)
                 if reduced != tuple(c):
                     raise ValueError(f"entries out of range; reduced form is {reduced}")
-                bits |= 1 << x
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad element {c!r} for {group}: {exc}") from exc
-        return GroupSet(group, bits)
+            mask[x] = True
+        return GroupSet.from_mask(group, mask)
     raw = payload["bitmask_hex"]
     if not isinstance(raw, str):
         raise ValueError("'bitmask_hex' must be a hex string")

@@ -1,7 +1,7 @@
 """SL2 over a prime field: enumeration, product sets, and covering checks.
 
-The group is materialized as a lexicographically ordered list of matrices
-(a, b, c, d) with ad - bc = 1 mod p.  Element indices have a closed form,
+The elements are the matrices (a, b, c, d) with ad - bc = 1 mod p, numbered
+in lexicographic order.  Element indices have a closed form,
 (a * p + b) * p + t - p with t = c when a != 0 and t = d when a = 0, so
 indices, inverses and products map back to indices with no lookup table.
 Products go through the row action: row i of x*y is row i of x times y,
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -43,9 +43,10 @@ from .config import check_order
 from .constructions import SearchBudgetError, random_set
 from .groups import is_prime
 from .reports import Report, map_trials
-from .setops import GroupSet, _bit_indices, _bits_from_bool, _prefix_chain, _same_spec, is_cover
+from .setops import GroupSet, _prefix_chain, _same_spec, is_cover
 
 _CHUNK_CELLS = 1 << 14
+_HYPOTHESIS_TRIES = 200  # draws before ``sample_hypothesis_set`` gives up
 REL_GUARD = 1e-9
 
 
@@ -69,7 +70,6 @@ class SL2Group:
         unit_inv = np.array([0] + [pow(u, -1, p) for u in range(1, p)])
         c = np.where(a == 0, -unit_inv[b] % p, t)
         d = np.where(a == 0, t, unit_inv[a] * (1 + b * t) % p)
-        self.elements = list(zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()))
         # Each row (u, v) of a matrix is indexed u * p + v, so an element's
         # packed key is row1 * p^2 + row2; keys below p^4 fit the key dtype.
         self._row1 = row1
@@ -121,6 +121,13 @@ class SL2Group:
             raise ValueError(f"matrix {tuple(mat)} has determinant != 1 mod {p}")
         # ``_indices`` on plain ints, without its per-call numpy overhead.
         return (a * p + b) * p + (d if a == 0 else c) - p
+
+    @cached_property
+    def elements(self) -> list[tuple[int, int, int, int]]:
+        """Every element's entries (a, b, c, d) in index order, built on first use."""
+        a, b = np.divmod(self._row1, self.p)
+        c, d = np.divmod(self._row2, self.p)
+        return list(zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()))
 
     def element(self, i: int) -> tuple[int, int, int, int]:
         return self.elements[i]
@@ -229,10 +236,6 @@ def sl2_group(p: int) -> SL2Group:
 SL2Set = GroupSet  # the one set type, under the name SL2 callers know
 
 
-def _index_array(x: GroupSet) -> np.ndarray:
-    return _bit_indices(x.bits, (x.group.order + 7) >> 3)
-
-
 def _require_sl2(group) -> SL2Group:
     """``group`` itself, once it is known to be an SL2 group."""
     if not isinstance(group, SL2Group):
@@ -253,15 +256,13 @@ def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
         return GroupSet.empty(g)
     if x.card + y.card > g.order:
         return GroupSet.full(g)  # pigeonhole: X meets gY^-1 for every g
-    ix = _index_array(x)
-    iy = _index_array(y)
     hit = np.zeros(g.p**4, dtype=bool)
-    for keys in g._row_action(iy).chunks(ix):
+    for keys in g._row_action(y.index_array()).chunks(x.index_array()):
         hit[keys] = True
         out = hit[g._keys]
         if out.all():
             break
-    return GroupSet(g, _bits_from_bool(out))
+    return GroupSet.from_mask(g, out)
 
 
 def inverse_set(x: GroupSet) -> GroupSet:
@@ -270,8 +271,8 @@ def inverse_set(x: GroupSet) -> GroupSet:
     if x.card == 0:
         return x
     out = np.zeros(g.order, dtype=bool)
-    out[g.inv[_index_array(x)]] = True
-    return GroupSet(g, _bits_from_bool(out))
+    out[g.inv[x.index_array()]] = True
+    return GroupSet.from_mask(g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +301,14 @@ class RuzsaReport(Report):
 _COUNT_LIMIT = 1 << 22
 
 
-def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet, count_limit: int = _COUNT_LIMIT) -> RuzsaReport:
+def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet) -> RuzsaReport:
     """Verify the triangle inequality; on small instances also verify that
     every z in AC^-1 factors as x*y (x in AB^-1, y in BC^-1) in >= |B| ways.
 
     The inequality itself is checked in exact integer arithmetic:
     |AC^-1| * |B| <= |AB^-1| * |BC^-1|.
 
-    The count runs when |AB^-1| * |BC^-1| <= ``count_limit``.  With
+    The count runs when |AB^-1| * |BC^-1| <= ``_COUNT_LIMIT``.  With
     X = AB^-1 and Y = BC^-1, the number of factorisations of z is
     r(z) = |X ∩ zY^-1|, and r(z) is evaluated only for z in AC^-1, the only
     elements the verdict reads.  When Y is more than half of G the count
@@ -329,7 +330,7 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet, count_limit: int = _COUNT
     count_checked = False
     min_reps: int | None = None
     count_ok: bool | None = None
-    if ac.card and ab.card * bc.card <= count_limit:
+    if ac.card and ab.card * bc.card <= _COUNT_LIMIT:
         count_checked = True
         min_reps = _min_representations(ab, bc, ac)
         count_ok = min_reps >= b.card
@@ -364,9 +365,9 @@ def _min_representations(x: GroupSet, y: GroupSet, targets: GroupSet) -> int:
     if side.card == 0:
         return x.card
     in_x = np.zeros(g.p**4, dtype=np.uint8)
-    in_x[g._keys[_index_array(x)]] = 1
-    act = g._row_action(g.inv[_index_array(side)])
-    chunks = act.chunks(_index_array(targets))
+    in_x[g._keys[x.index_array()]] = 1
+    act = g._row_action(g.inv[side.index_array()])
+    chunks = act.chunks(targets.index_array())
     sums = np.concatenate([np.take(in_x, keys).sum(axis=1, dtype=np.int64) for keys in chunks])
     return x.card - int(sums.max()) if complement else int(sums.min())
 
@@ -569,22 +570,17 @@ def random_sl2_set(group: SL2Group, size: int, rng: random.Random) -> GroupSet:
     return random_set(group, size, rng)
 
 
-def sample_hypothesis_set(
-    group: SL2Group,
-    rng: random.Random,
-    density: float = 0.25,
-    max_tries: int = 200,
-) -> GroupSet:
+def sample_hypothesis_set(group: SL2Group, rng: random.Random, density: float = 0.25) -> GroupSet:
     """Rejection-sample a set with A * A^-1 = G at the target density."""
     if not 0 < density <= 1:
         raise ValueError(f"density must be in (0, 1], got {density}")
     size = min(group.order, max(1, math.ceil(density * group.order)))
-    for _ in range(max_tries):
+    for _ in range(_HYPOTHESIS_TRIES):
         cand = random_sl2_set(group, size, rng)
         if is_cover(product_set(cand, inverse_set(cand))):
             return cand
     raise SearchBudgetError(
-        f"no hypothesis set found in {max_tries} tries "
+        f"no hypothesis set found in {_HYPOTHESIS_TRIES} tries "
         f"(p={group.p}, density={density})"
     )
 

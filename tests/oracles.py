@@ -84,3 +84,35 @@ def naive_sl2_elements(p):
         for d in range(p)
         if (a * d - b * c) % p == 1
     ]
+
+
+def _blocks(v, width):
+    return [v[s : s + width] for s in range(0, len(v), width)]
+
+
+def naive_half_zero_block(p, i):
+    """C_i: the nonzero vectors of Z_p^(2^i) with one all-zero half."""
+    half = 2 ** (i - 1)
+    return frozenset(
+        v
+        for v in product(range(p), repeat=2 * half)
+        if any(v) and (not any(v[:half]) or not any(v[half:]))
+    )
+
+
+def naive_punctured_product(p, j, k):
+    """The vectors of Z_p^(2^k) whose every block of 2^j axes is nonzero."""
+    return frozenset(
+        v for v in product(range(p), repeat=2**k) if all(any(b) for b in _blocks(v, 2**j))
+    )
+
+
+def naive_half_zero_member(p, k, i):
+    """A_i over Z_p^(2^k): every coordinate nonzero for i = 0, else every
+    block of 2^i axes in C_i."""
+    if i == 0:
+        return frozenset(product(range(1, p), repeat=2**k))
+    block = naive_half_zero_block(p, i)
+    return frozenset(
+        v for v in product(range(p), repeat=2**k) if all(b in block for b in _blocks(v, 2**i))
+    )

@@ -1,6 +1,9 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import naive_half_zero_block, naive_half_zero_member, naive_punctured_product
 from sumsetlab import constructions
 from sumsetlab.config import OrderCapError
 from sumsetlab.constructions import (
@@ -60,6 +63,33 @@ def test_example_A_validation():
         example_A(3, 2, -1)
     with pytest.raises(OrderCapError):
         example_A(2, 40, 0)
+
+
+# Every (p, k) with p^(2^k) <= 625: k = 1 up to p = 25, k = 2 up to p = 5,
+# and k = 3 at p = 2.
+FAMILY_CASES = [(p, k) for k in (1, 2, 3) for p in range(2, 26) if p ** (2**k) <= 625]
+
+
+@pytest.mark.parametrize("p,k", FAMILY_CASES)
+def test_half_zero_family_matches_oracle(p, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p = 2 warns that the family degenerates
+        for i in range(1, k + 1):
+            assert frozenset(example_C(p, i).coords()) == naive_half_zero_block(p, i)
+        for i in range(k + 1):
+            assert frozenset(example_A(p, k, i).coords()) == naive_half_zero_member(p, k, i)
+    for j in range(k + 1):
+        got = constructions._punctured_product(p, j, k)
+        assert frozenset(got.coords()) == naive_punctured_product(p, j, k)
+
+
+def test_example_A_warns_for_p2_only_on_half_zero_members():
+    with pytest.warns(UserWarning, match="degenerates for p=2"):
+        example_A(2, 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        example_A(2, 2, 0)
+        example_A(3, 2, 1)
 
 
 @pytest.mark.parametrize("p,i", [(3, 1), (3, 2), (5, 1)])

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -57,6 +59,16 @@ def test_constructors_and_views():
     assert list(a) == [0, 13, 59]
     assert 13 in a and 14 not in a
     assert GroupSet.from_indices(spec, [0, 13, 59]) == a
+    # Duplicates, order, numpy ints and one-shot iterables do not matter.
+    assert GroupSet.from_indices(spec, [59, 0, 13, 0, 59]) == a
+    assert GroupSet.from_indices(spec, [np.int64(13), np.uint8(0), np.int32(59)]) == a
+    assert GroupSet.from_indices(spec, (x for x in (13, 59, 0))) == a
+    assert GroupSet.from_indices(spec, np.array([59, 13, 0])) == a
+    assert GroupSet.from_indices(spec, []) == GroupSet.empty(spec)
+    mask = np.zeros(60, dtype=bool)
+    mask[[0, 13, 59]] = True
+    assert GroupSet.from_mask(spec, mask) == a
+    assert a.index_array().tolist() == [0, 13, 59]
     assert GroupSet.empty(spec).card == 0
     assert GroupSet.full(spec).card == 60
     assert GroupSet.identity(spec).coords() == [(0, 0)]
@@ -70,6 +82,15 @@ def test_bitmask_validation():
         GroupSet(spec, -1)
     with pytest.raises(ValueError):
         GroupSet.from_indices(spec, [5])
+    # The first bad index is named, in the message of ``check_index``.
+    msg = "element index 7 out of range [0, 5) for Z5"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        GroupSet.from_indices(spec, [1, 3, 7, -1, 9])
+    msg = "element index -1 out of range [0, 5) for Z5"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        GroupSet.from_indices(spec, (x for x in [4, -1, 7]))
+    with pytest.raises(ValueError, match="mask has length 6, expected 5"):
+        GroupSet.from_mask(spec, np.zeros(6, dtype=bool))
 
 
 def test_card_tracks_population_count():
@@ -358,6 +379,10 @@ def test_json_round_trips():
         payload = set_to_json(a, form=form)
         assert set_from_json(spec, payload) == a
     assert set_to_json(a, form="bitmask")["bitmask_hex"] == a.bits.to_bytes(8, "little").hex()
+    # Duplicates, order and numpy ints do not matter in the elements form.
+    elems = [[5, 9], [0, 0], [np.int64(1), np.uint8(2)], [5, 9], [0, 0]]
+    assert set_from_json(spec, {"elements": elems}) == a
+    assert set_from_json(spec, {"elements": []}) == GroupSet.empty(spec)
 
 
 def test_json_both_forms_equal():
@@ -376,6 +401,10 @@ def test_json_errors():
         set_from_json(spec, {"elements": [], "bitmask_hex": "00"})
     with pytest.raises(ValueError, match=r"\[7\]"):
         set_from_json(spec, {"elements": [[0], [7]]})
+    # The first bad element is named, with the reason from the group.
+    msg = "bad element [7] for Z5: coordinate 7 out of range [0, 5) in (7,)"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        set_from_json(spec, {"elements": [[1], [7], [9], [-1]]})
     with pytest.raises(ValueError, match="length mismatch"):
         set_from_json(spec, {"bitmask_hex": "0000"})
     with pytest.raises(ValueError, match="hex"):

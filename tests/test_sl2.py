@@ -113,9 +113,10 @@ def test_sl2_group_rejects_non_prime():
 
 
 def test_group_build_memory_bounded():
-    """The build holds at most 200 bytes per element: no table of p^4
-    entries (4p times the order) outlives it."""
-    for p, peak_bytes in [(13, 1 << 20), (47, 30 << 20)]:
+    """The build holds a few index arrays: no table of p^4 entries (4p
+    times the order) outlives it, and at p = 47 no list of element tuples
+    (about 81 bytes per element) is built until ``elements`` is read."""
+    for p, peak_bytes, held_per_element in [(13, 1 << 20, 200), (47, 30 << 20, 64)]:
         tracemalloc.start()
         try:
             g = SL2Group(p)
@@ -123,7 +124,7 @@ def test_group_build_memory_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= peak_bytes
-        assert held <= 200 * g.order
+        assert held <= held_per_element * g.order
 
 
 def test_group_equality_and_index():
@@ -758,7 +759,7 @@ def test_sample_hypothesis_set():
     assert is_cover(product_set(a, inverse_set(a)))
     assert a == sample_hypothesis_set(g, random.Random(0))
     with pytest.raises(SearchBudgetError):
-        sample_hypothesis_set(sl2_group(5), random.Random(0), density=0.01, max_tries=20)
+        sample_hypothesis_set(sl2_group(5), random.Random(0), density=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +772,8 @@ def test_sl2_json_round_trips():
     a = SL2Set.from_indices(g, rng.sample(range(120), 33))
     for form in ("elements", "bitmask"):
         assert set_from_json(g, set_to_json(a, form=form)) == a
+    rows = set_to_json(a, form="elements")["elements"]
+    assert set_from_json(g, {"elements": rows[::-1] + rows[:5]}) == a
 
 
 def test_sl2_json_rejects_unreduced_entries():
