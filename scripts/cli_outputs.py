@@ -11,8 +11,11 @@ this process through ``sumsetlab.cli.run``:
   so that the m = 3 chain step and multi-axis translates are covered;
 * ``sl2 ruzsa``, ``sl2 gowers`` and ``sl2 theorem4`` at p = 13 and 17;
 * ``sl2 ruzsa`` at p = 7 and 11, so that the representation count runs at
-  two more primes, with BC^-1 = G (nothing to enumerate) and with BC^-1
-  more than half of G (its complement enumerated);
+  two more primes.  Under the seeded draws every one of their trials has
+  BC^-1 = G (nothing to enumerate).  BC^-1 more than half of G, with its
+  complement enumerated, comes up at p = 5 (13 of the README's 100
+  trials) and p = 13 (1 of 3); the direct count runs only at p = 5 (2 of
+  100).  The tests force each branch directly;
 * ``theorem1``, ``sl2 gowers`` and ``plunnecke`` runs whose operand sizes
   meet or straddle the pigeonhole bound |A| + |B| = |G|, at which the
   kernels must still run;

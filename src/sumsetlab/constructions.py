@@ -346,18 +346,24 @@ def enumerate_bases(p: int, n: int) -> list[tuple[tuple[int, ...], ...]] | None:
 
 
 def random_set(spec: GroupSpec, size: int, rng: random.Random) -> GroupSet:
-    """A uniformly random subset with exactly ``size`` elements.
+    """A uniformly random subset with exactly ``size`` elements, drawn from ``rng``.
 
-    The drawn indices are in range by construction, so they are marked in a
-    bool array and packed, in time linear in the order, without the
-    per-element validation of ``GroupSet.from_indices``.  Any group with an
-    ``order`` works; ``sl2.random_sl2_set`` builds through here too.
+    One ``rng.randbytes`` call gives every element a uniform 32-bit key, and
+    the set is the ``size`` elements with the smallest keys.  A draw with a
+    tie at that boundary (probability below order / 2^32) is redrawn; the
+    keys are exchangeable, so the accepted set is exactly uniform over the
+    ``size``-subsets.  A zero key in front of the others is the threshold
+    when ``size`` is 0.  The cost is a few numpy passes over the order, with
+    no per-element Python work.  Any group with an ``order`` works;
+    ``sl2.random_sl2_set`` builds through here too.
     """
     if not 0 <= size <= spec.order:
         raise ValueError(f"size {size} out of range [0, {spec.order}]")
-    mask = np.zeros(spec.order, dtype=bool)
-    mask[rng.sample(range(spec.order), size)] = True
-    return GroupSet.from_mask(spec, mask)
+    while True:
+        keys = np.frombuffer(bytes(4) + rng.randbytes(4 * spec.order), "<u4")
+        mask = keys[1:] <= np.partition(keys, size)[size]
+        if np.count_nonzero(mask) == size:
+            return GroupSet.from_mask(spec, mask)
 
 
 def random_cover_set(spec: GroupSpec, m: int, target_density: float, seed: int) -> GroupSet:

@@ -10,6 +10,7 @@ invariant-factor form.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -108,10 +109,20 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 def check_index(spec: GroupSpec, x: int) -> int:
-    x = int(x)
-    if not 0 <= x < spec.order:
-        raise ValueError(f"element index {x} out of range [0, {spec.order}) for {spec}")
-    return x
+    """``x`` as a plain int in ``[0, order)``.
+
+    Any integer type is taken, numpy integers included; floats and bools
+    are refused.
+    """
+    try:
+        index = operator.index(x)
+    except TypeError:
+        index = None
+    if index is None or isinstance(x, bool):
+        raise ValueError(f"element index {x!r} for {spec} is not an integer")
+    if not 0 <= index < spec.order:
+        raise ValueError(f"element index {index} out of range [0, {spec.order}) for {spec}")
+    return index
 
 
 def encode(spec: GroupSpec, coords: Iterable[int]) -> int:

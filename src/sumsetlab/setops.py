@@ -224,7 +224,7 @@ class ElementMultiset:
 
     @classmethod
     def from_indices(cls, spec: GroupSpec, indices: Iterable[int]) -> ElementMultiset:
-        return cls(spec, tuple((int(x), 1) for x in indices))
+        return cls(spec, tuple((x, 1) for x in indices))
 
     @classmethod
     def from_coords(cls, spec: GroupSpec, coords: Iterable[Iterable[int]]) -> ElementMultiset:

@@ -89,6 +89,26 @@ def test_order_cap_env_var():
     assert "cap" in proc.stderr
 
 
+def test_seeded_runs_never_import_numpy_random():
+    """Sets are drawn from each trial's ``random.Random``; importing
+    ``numpy.random`` would add about 6 MiB to every process's RSS."""
+    code = """
+import contextlib, io, sys
+from sumsetlab import cli
+commands = [
+    "theorem1 --group Z3^4 --m 2 --trials 3 --seed 0",
+    "plunnecke --group Z6xZ10 --trials 5 --seed 0",
+    "sl2 gowers --p 7 --size 100 --trials 2 --seed 0",
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(command.split()) for command in commands]
+print(codes, "numpy.random" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]
+
+
 def test_kpn_budget_below_1_is_usage_error(capsys):
     assert cli.run(["kpn", "--p", "3", "--n", "2", "--exact", "--budget", "0"]) == 2
     out, err = capsys.readouterr()

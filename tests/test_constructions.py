@@ -1,4 +1,8 @@
+import math
+import random
+import re
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,7 @@ from sumsetlab.constructions import (
 )
 from sumsetlab.groups import parse_group_spec, vector_space_spec
 from sumsetlab.setops import GroupSet, is_cover, m_fold, subset_sums, sumset
+from sumsetlab.sl2 import sl2_group
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +262,77 @@ def test_random_cover_set_budget():
         random_cover_set(spec, 2, 0.0, seed=0)
 
 
-def test_random_set():
-    import random as _random
+class _StubRandom:
+    """A ``random.Random`` stand-in whose ``randbytes`` replays fixed buffers."""
 
+    def __init__(self, *buffers):
+        self.buffers = list(buffers)
+        self.requests = []
+
+    def randbytes(self, n):
+        self.requests.append(n)
+        return self.buffers.pop(0)
+
+
+def _keys(*values):
+    return b"".join(v.to_bytes(4, "little") for v in values)
+
+
+def test_random_set():
     spec = parse_group_spec("Z6xZ10")
-    rng = _random.Random(3)
-    a = random_set(spec, 17, rng)
+    a = random_set(spec, 17, random.Random(3))
     assert a.card == 17
-    with pytest.raises(ValueError):
-        random_set(spec, 61, rng)
+    assert random_set(spec, 0, random.Random(3)) == GroupSet.empty(spec)
+    assert random_set(spec, 60, random.Random(3)) == GroupSet.full(spec)
+
+
+@pytest.mark.parametrize("size", [-1, 61])
+def test_random_set_rejects_size_out_of_range(size):
+    spec = parse_group_spec("Z6xZ10")
+    with pytest.raises(ValueError, match=re.escape(f"size {size} out of range [0, 60]")):
+        random_set(spec, size, random.Random(0))
+
+
+@pytest.mark.parametrize("group", [parse_group_spec("Z6xZ10"), sl2_group(5)], ids=str)
+def test_random_set_deterministic_per_seed(group):
+    """The set depends only on the generator's state, and has the asked size."""
+    n = group.order
+    for size in (0, 1, n // 3, n - 1, n):
+        for seed in range(3):
+            rng_a, rng_b = random.Random(seed), random.Random(seed)
+            a, b = random_set(group, size, rng_a), random_set(group, size, rng_b)
+            assert a == b and a.card == size
+            assert rng_a.getstate() == rng_b.getstate()
+    thirds = {random_set(group, n // 3, random.Random(seed)).bits for seed in range(3)}
+    assert len(thirds) == 3
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_random_set_uniform_over_subsets(size):
+    """Every size-subset of Z6 turns up within 5 binomial sigmas of its mean."""
+    spec = parse_group_spec("Z6")
+    seeds = 40_000
+    counts = Counter(random_set(spec, size, random.Random(seed)).bits for seed in range(seeds))
+    subsets = math.comb(6, size)
+    assert len(counts) == subsets
+    assert all(bin(bits).count("1") == size for bits in counts)
+    mean = seeds / subsets
+    sigma = math.sqrt(seeds * (1 / subsets) * (1 - 1 / subsets))
+    assert all(abs(c - mean) <= 5 * sigma for c in counts.values()), counts
+
+
+def test_random_set_redraws_on_boundary_tie():
+    """Keys tied across the size boundary, or a zero key at size 0, are redrawn."""
+    spec = parse_group_spec("Z6")
+    rng = _StubRandom(_keys(7, 7, 7, 7, 7, 7), _keys(5, 3, 9, 1, 7, 2))
+    assert random_set(spec, 3, rng).indices() == [1, 3, 5]
+    assert rng.requests == [24, 24]
+    rng = _StubRandom(_keys(4, 1, 4, 9, 8, 6), _keys(5, 3, 9, 1, 7, 2))
+    assert random_set(spec, 2, rng).indices() == [3, 5]
+    assert rng.requests == [24, 24]
+    rng = _StubRandom(_keys(5, 0, 9, 1, 7, 2), _keys(5, 3, 9, 1, 7, 2))
+    assert random_set(spec, 0, rng).card == 0
+    assert rng.requests == [24, 24]
+    rng = _StubRandom(_keys(5, 3, 9, 1, 7, 2))
+    assert random_set(spec, 1, rng).indices() == [3]
+    assert rng.requests == [24]

@@ -93,6 +93,37 @@ def test_bitmask_validation():
         GroupSet.from_mask(spec, np.zeros(6, dtype=bool))
 
 
+_NOT_INDICES = [2.7, 2.0, True, np.True_, "2"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: GroupSet.from_indices(Z5, [0, x]),
+        lambda x: translate(GroupSet.from_indices(Z5, [1]), x),
+        lambda x: ElementMultiset.from_indices(Z5, [x]),
+        lambda x: ElementMultiset(Z5, ((x, 1),)),
+        lambda x: decode(Z5, x),
+    ],
+    ids=["GroupSet.from_indices", "translate", "ElementMultiset.from_indices",
+         "ElementMultiset", "decode"],
+)
+@pytest.mark.parametrize("x", _NOT_INDICES, ids=repr)
+def test_non_integer_index_is_refused(build, x):
+    """A float or bool index is refused, by name, rather than truncated."""
+    msg = f"element index {x!r} for Z5 is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        build(x)
+
+
+def test_numpy_integer_indices_are_taken():
+    a = GroupSet.from_indices(Z5, np.array([1, 3], dtype=np.int64))
+    assert a.indices() == [1, 3]
+    assert translate(a, np.uint8(2)).indices() == [0, 3]
+    m = ElementMultiset.from_indices(Z5, np.array([4, 4], dtype=np.int32))
+    assert m.entries == ((4, 2),) and type(m.entries[0][0]) is int
+
+
 def test_card_tracks_population_count():
     spec = GroupSpec((3, 3))
     for bits in range(1 << 9):

@@ -32,7 +32,7 @@ from sumsetlab.sl2 import (
     theorem4_trials,
     verify_theorem4,
 )
-from sumsetlab.constructions import SearchBudgetError
+from sumsetlab.constructions import SearchBudgetError, random_set
 from sumsetlab.groups import parse_group_spec
 from sumsetlab.setops import GroupSet, is_cover, set_from_json, set_to_json
 
@@ -743,14 +743,13 @@ def test_remark12_small_p_rejected():
 
 
 @pytest.mark.parametrize("p", [5, 17])
-def test_random_sl2_set_matches_sampled_indices(p):
-    """The bool-array build keeps the draw, so seeded sets are unchanged."""
+def test_random_sl2_set_matches_random_set(p):
+    """SL2 sets are drawn by the one sampler, from the same generator state."""
     g = sl2_group(p)
     for seed in range(4):
         for size in (0, 1, g.order // 3, g.order):
             got = sl2.random_sl2_set(g, size, random.Random(seed))
-            want = SL2Set.from_indices(g, random.Random(seed).sample(range(g.order), size))
-            assert got == want and got.card == size
+            assert got == random_set(g, size, random.Random(seed)) and got.card == size
 
 
 def test_sample_hypothesis_set():
