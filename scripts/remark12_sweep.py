@@ -10,7 +10,7 @@ experiment is run wherever the bound gives K = 4.
 
 import argparse
 
-from sumsetlab.sl2 import quasirandom_info, remark12, theorem4_bound
+from sumsetlab.sl2 import remark12
 
 
 def main() -> None:
@@ -25,14 +25,10 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for p in args.primes:
-        info = quasirandom_info(p)
-        k = theorem4_bound(info.delta)
-        outcome = "n/a (K > 4)"
-        if p >= 7 and args.trials > 0:
-            rep = remark12(p, trials=args.trials, seed=args.seed, density=args.density)
-            outcome = f"{sum(rep.trials_passed)}/{rep.trials} pass"
+        rep = remark12(p, trials=args.trials, seed=args.seed, density=args.density)
+        outcome = f"{sum(rep.trials_passed)}/{rep.trials} pass" if rep.applies else "n/a (K > 4)"
         print(
-            f"{p:>4} {info.order:>7} {info.D:>3} {info.delta:8.5f} {k:>3} {3 * k:>3}"
+            f"{p:>4} {rep.order:>7} {rep.D:>3} {rep.delta:8.5f} {rep.K:>3} {rep.n_sets:>3}"
             f" {outcome:>10}"
         )
 

@@ -7,9 +7,9 @@ exceeds |G|/2, then one pigeonhole sum finishes), explicit upper bounds for
 the bases-union constant, and exact tiny-case searches for that constant.
 
 Every verdict is an exact integer comparison; the real-valued bounds in
-the reports are for display.  Only the closed-form K of the two-half
-bound is rounded from a float, with a relative guard of 1e-9 so that a
-value within rounding of an integer counts as that integer.
+the reports are for display.  The closed-form K of the two-half bound is
+computed in integers for m = 2, as the least K with 2^(2^K) >= N, and as
+the plain ceiling of m * ln(log2 N) for m >= 3.
 """
 
 from __future__ import annotations
@@ -37,15 +37,7 @@ from .setops import (
     sumset,
 )
 
-REL_GUARD = 1e-9
 _PLUNNECKE_KS = (2, 3, 4)  # the k that ``plunnecke_trials`` draws from
-
-
-def _least_integer_at_least(value: float) -> int:
-    nearest = round(value)
-    if abs(value - nearest) <= REL_GUARD:
-        return int(nearest)
-    return math.ceil(value)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +119,12 @@ def theorem1_bound_raw(m: int, order: int) -> float:
 
 
 def theorem1_bound(m: int, order: int) -> int:
-    """Smallest integer K satisfying the half-growth bound (>= counts)."""
-    return max(1, _least_integer_at_least(theorem1_bound_raw(m, order)))
+    """Smallest integer K >= the raw bound, and at least 1.  For m = 2 that is
+    the least K with 2^(2^K) >= N, in integers: 2^L >= N from L = (N-1).bit_length()."""
+    raw = theorem1_bound_raw(m, order)  # validates m and N
+    if int(m) == 2:
+        return ((order - 1).bit_length() - 1).bit_length()
+    return max(1, math.ceil(raw))
 
 
 @dataclass

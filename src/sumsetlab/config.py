@@ -41,9 +41,25 @@ def set_order_cap(value: int) -> None:
     _order_cap = value
 
 
+def _refuse(what: str, count: str) -> OrderCapError:
+    fix = f"raise it with set_order_cap() or ${ENV_ORDER_CAP}"
+    return OrderCapError(f"{what} has {count} elements, above the cap of {_order_cap}; {fix}")
+
+
 def check_order(order: int, what: str) -> None:
     if order > _order_cap:
-        raise OrderCapError(
-            f"{what} has {order} elements, above the cap of {_order_cap}; "
-            f"raise it with set_order_cap() or ${ENV_ORDER_CAP}"
-        )
+        raise _refuse(what, str(order))
+
+
+def check_powers(terms: list[tuple[int, int]], what: str) -> None:
+    """Refuse a product of powers ``d ** e`` above the cap without forming it:
+    one exact running product stops as soon as it passes the cap, so at most
+    about log2(cap) multiplications run, whatever the exponents."""
+    order = 1
+    for d, e in terms:
+        if d < 2:  # before the loop, which would never pass the cap
+            raise ValueError(f"cyclic factor must be >= 2, got {d}")
+        for _ in range(e):
+            order *= d
+            if order > _order_cap:
+                raise _refuse(what, f"at least {order}")

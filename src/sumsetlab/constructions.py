@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import check_order, order_cap
 from .groups import GroupSpec, is_prime, vector_space_spec
 from .reports import Report
 from .setops import ElementMultiset, GroupSet, is_cover, m_fold, sumset
@@ -39,12 +38,6 @@ _BASES_CAP = 200_000
 
 class SearchBudgetError(RuntimeError):
     """A rejection sampler ran out of retries."""
-
-
-def _guard_power(p: int, n: int) -> None:
-    """Reject p^n above the cap before any n-sized object is built."""
-    if n * math.log2(p) > math.log2(order_cap()) + 1e-9:
-        check_order(order_cap() + 1, f"group Z{p}^{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +78,9 @@ def example_C(p: int, i: int) -> GroupSet:
         raise ValueError(f"p must be >= 2, got {p}")
     if i < 1:
         raise ValueError(f"block level must be >= 1, got {i}")
+    spec = vector_space_spec(p, 2**i)
     _warn_p2(p)
-    _guard_power(p, 2**i)
-    return GroupSet.from_mask(vector_space_spec(p, 2**i), _half_zero_mask(p, i))
+    return GroupSet.from_mask(spec, _half_zero_mask(p, i))
 
 
 def example_A(p: int, k: int, i: int) -> GroupSet:
@@ -98,14 +91,11 @@ def example_A(p: int, k: int, i: int) -> GroupSet:
         raise ValueError(f"p must be >= 2, got {p}")
     if not 0 <= i <= k:
         raise ValueError(f"family index must be in [0, {k}], got {i}")
-    n = 2**k
-    _guard_power(p, n)
-    check_order(p**n, f"group Z{p}^{n}")
     if i == 0:
         return _punctured_product(p, 0, k)
+    spec = vector_space_spec(p, 2**k)
     _warn_p2(p)
-    mask = _kron_doublings(_half_zero_mask(p, i), k - i)
-    return GroupSet.from_mask(vector_space_spec(p, n), mask)
+    return GroupSet.from_mask(spec, _kron_doublings(_half_zero_mask(p, i), k - i))
 
 
 @dataclass(frozen=True)
@@ -231,8 +221,8 @@ def verify_example1(p: int, k: int) -> Example1Report:
 
 def _punctured_product(p: int, j: int, k: int) -> GroupSet:
     """``(Z_p^{2^j} \\ {0})^{2^(k-j)}`` embedded blockwise in ``Z_p^{2^k}``."""
-    mask = _kron_doublings(~_zero(p, 2**j), k - j)
-    return GroupSet.from_mask(vector_space_spec(p, 2**k), mask)
+    spec = vector_space_spec(p, 2**k)
+    return GroupSet.from_mask(spec, _kron_doublings(~_zero(p, 2**j), k - j))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ invariant-factor form.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .config import check_order, order_cap
+from .config import check_order, check_powers
 
 _SPEC_RE = re.compile(r"[Zz]\d+(?:\^\d+)?(?:[Xx][Zz]\d+(?:\^\d+)?)*")
 _TERM_RE = re.compile(r"[Zz](\d+)(?:\^(\d+))?")
@@ -90,9 +89,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         raise ValueError(
             f"bad group spec {text!r}; expected e.g. 'Z5', 'Z3^4' or 'Z6xZ10'"
         )
-    factors: list[int] = []
-    log2_order = 0.0
-    cap_bits = math.log2(order_cap())
+    terms = []
     for m in _TERM_RE.finditer(text):
         d = int(m.group(1))
         e = int(m.group(2)) if m.group(2) else 1
@@ -100,26 +97,25 @@ def parse_group_spec(text: str) -> GroupSpec:
             raise ValueError(f"cyclic factor must be >= 2, got Z{d} in {text!r}")
         if e < 1:
             raise ValueError(f"exponent must be >= 1, got ^{e} in {text!r}")
-        # Refuse absurd exponents before materializing the factor list.
-        log2_order += e * math.log2(d)
-        if log2_order > cap_bits + 1e-9:
-            check_order(order_cap() + 1, f"group {text}")
-        factors.extend([d] * e)
-    return GroupSpec(tuple(factors))
+        terms.append((d, e))
+    check_powers(terms, f"group {text}")  # before any factor list is built
+    return GroupSpec(tuple(d for d, e in terms for _ in range(e)))
+
+
+def as_int(x, what: str, where: object) -> int:
+    """``x`` as a plain int: any integer type, numpy integers included.
+    Floats and bools are refused with a ``ValueError`` that names ``x``."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {x!r} for {where} is not an integer")
 
 
 def check_index(spec: GroupSpec, x: int) -> int:
-    """``x`` as a plain int in ``[0, order)``.
-
-    Any integer type is taken, numpy integers included; floats and bools
-    are refused.
-    """
-    try:
-        index = operator.index(x)
-    except TypeError:
-        index = None
-    if index is None or isinstance(x, bool):
-        raise ValueError(f"element index {x!r} for {spec} is not an integer")
+    """``x`` as a plain int in ``[0, order)``, under the rule of ``as_int``."""
+    index = as_int(x, "element index", spec)
     if not 0 <= index < spec.order:
         raise ValueError(f"element index {index} out of range [0, {spec.order}) for {spec}")
     return index
@@ -134,7 +130,7 @@ def encode(spec: GroupSpec, coords: Iterable[int]) -> int:
         )
     x = 0
     for c, d, w in zip(coords, spec.factors, spec.weights):
-        c = int(c)
+        c = as_int(c, "coordinate", spec)
         if not 0 <= c < d:
             raise ValueError(f"coordinate {c} out of range [0, {d}) in {coords}")
         x += c * w
@@ -182,6 +178,8 @@ def is_prime(n: int) -> bool:
 
 def vector_space_spec(p: int, n: int) -> GroupSpec:
     """The group ``Z_p^n`` (p need not be prime here; callers enforce that)."""
+    p, n = int(p), int(n)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return GroupSpec((int(p),) * int(n))
+    check_powers([(p, n)], f"group Z{p}^{n}")
+    return GroupSpec((p,) * n)

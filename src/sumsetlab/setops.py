@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import GroupSpec, check_index, decode, encode
+from .groups import GroupSpec, as_int, check_index, decode, encode
 
 if TYPE_CHECKING:
     from .sl2 import SL2Group
@@ -216,7 +216,7 @@ class ElementMultiset:
         merged: dict[int, int] = {}
         for x, mult in self.entries:
             x = check_index(self.spec, x)
-            mult = int(mult)
+            mult = as_int(mult, "multiplicity", f"index {x}")
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult} for index {x}")
             merged[x] = merged.get(x, 0) + mult

@@ -41,13 +41,21 @@ import numpy as np
 
 from .config import check_order
 from .constructions import SearchBudgetError, random_set
-from .groups import is_prime
+from .groups import as_int, is_prime
 from .reports import Report, map_trials
 from .setops import GroupSet, _prefix_chain, _same_spec, is_cover
 
 _CHUNK_CELLS = 1 << 14
 _HYPOTHESIS_TRIES = 200  # draws before ``sample_hypothesis_set`` gives up
-REL_GUARD = 1e-9
+
+
+def _check_p(p: int) -> int:
+    """``int(p)``, checked against the order cap before the O(sqrt(p)) primality test."""
+    p = int(p)
+    check_order(p**3 - p, "SL2 group order")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return p
 
 
 class SL2Group:
@@ -56,13 +64,8 @@ class SL2Group:
     table = None  # no multiplication table is stored; perfbench/ still reads this
 
     def __init__(self, p: int):
-        p = int(p)
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        order = p**3 - p
-        check_order(order, "SL2 group order")
-        self.p = p
-        self.order = order
+        self.p = p = _check_p(p)
+        self.order = order = p**3 - p
         # Element i packs its first row and t (see ``_indices``) as i + p;
         # the determinant gives the fourth entry.
         row1, t = np.divmod(np.arange(p, order + p), p)
@@ -116,7 +119,7 @@ class SL2Group:
         if len(mat) != 4:
             raise ValueError(f"expected 4 matrix entries (a, b, c, d), got {len(mat)}")
         p = self.p
-        a, b, c, d = (int(v) % p for v in mat)
+        a, b, c, d = (as_int(v, "matrix entry", self) % p for v in mat)
         if (a * d - b * c) % p != 1:
             raise ValueError(f"matrix {tuple(mat)} has determinant != 1 mod {p}")
         # ``_indices`` on plain ints, without its per-call numpy overhead.
@@ -442,14 +445,10 @@ def check_gowers(a: GroupSet, b: GroupSet, c: GroupSet) -> GowersReport:
 
 
 def theorem4_bound(delta: float) -> int:
-    """Smallest integer strictly greater than log2(3/delta)."""
+    """Smallest integer strictly greater than log2(3/delta), and at least 1."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    val = math.log2(3.0 / delta)
-    nearest = round(val)
-    if abs(val - nearest) <= REL_GUARD:
-        return max(1, int(nearest) + 1)
-    return max(1, math.floor(val) + 1)
+    return max(1, math.floor(math.log2(3.0 / delta)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +573,7 @@ def sample_hypothesis_set(group: SL2Group, rng: random.Random, density: float = 
     """Rejection-sample a set with A * A^-1 = G at the target density."""
     if not 0 < density <= 1:
         raise ValueError(f"density must be in (0, 1], got {density}")
-    size = min(group.order, max(1, math.ceil(density * group.order)))
+    size = math.ceil(density * group.order)
     for _ in range(_HYPOTHESIS_TRIES):
         cand = random_sl2_set(group, size, rng)
         if is_cover(product_set(cand, inverse_set(cand))):
@@ -638,7 +637,7 @@ def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> R
     For p=5 the bound gives K=5, so the twelve-set statement is not implied;
     the report says so and runs nothing.
     """
-    p = int(p)
+    p = _check_p(p)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     info = quasirandom_info(p)  # rejects p < 3

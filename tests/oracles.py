@@ -7,6 +7,8 @@ fast bitmask engine can be checked against code with no shared machinery.
 from __future__ import annotations
 
 from collections import Counter
+from decimal import ROUND_CEILING, Decimal, localcontext
+from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -116,3 +118,39 @@ def naive_half_zero_member(p, k, i):
     return frozenset(
         v for v in product(range(p), repeat=2**k) if all(b in block for b in _blocks(v, 2**i))
     )
+
+
+def decimal_theorem1_k(m, n):
+    """The least K >= 1 at or above the two-half bound, for m >= 3 the
+    ceiling of m * ln(log2 N) at 60 significant digits.
+
+    For m = 2 the bound log2(log2 N) is an integer exactly when N is
+    2^(2^j), where a rounded logarithm can land on either side, so that
+    case is decided in integers: the least K with 2^(2^K) >= N.
+    """
+    if m == 2:
+        k = 1
+        while 2 ** (2**k) < n:
+            k += 1
+        return k
+    with localcontext() as ctx:
+        ctx.prec = 60
+        raw = m * _decimal_ln_log2(n)
+        return max(1, int(raw.to_integral_value(rounding=ROUND_CEILING)))
+
+
+@lru_cache(maxsize=None)
+def _decimal_ln_log2(n):
+    """ln(log2 N) at 60 significant digits, kept for the next m."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(n).ln() / Decimal(2).ln()).ln()
+
+
+def integer_theorem4_k(d, n):
+    """The least K >= 1 with D^(2^K) > N^3 (that is, 2^K > 3 / delta with
+    N^delta = D), in integers.  Needs D >= 2."""
+    k = 1
+    while d ** (2**k) <= n**3:
+        k += 1
+    return k

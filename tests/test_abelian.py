@@ -4,7 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import naive_subset_sums, naive_sumset
+from oracles import decimal_theorem1_k, naive_subset_sums, naive_sumset
 
 from sumsetlab import abelian
 from sumsetlab.abelian import (
@@ -139,6 +139,43 @@ def test_theorem1_bound_validation():
         theorem1_bound(2, 3)
     with pytest.raises(ValueError):
         theorem1_bound(1, 16)
+
+
+@pytest.mark.parametrize(
+    "m, n, k",
+    [(4, 58031783, 14), (8, 58031783, 27), (14, 30994528, 46)],
+)
+def test_theorem1_bound_just_above_an_integer(m, n, k):
+    """m * ln(log2 N) exceeds an integer by under 1e-9 here, so K is the
+    next integer; a tolerance that rounds such values down gives k - 1."""
+    assert decimal_theorem1_k(m, n) == k
+    assert theorem1_bound(m, n) == k
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_theorem1_bound_m2_at_double_powers(j):
+    """m = 2: the least K with 2^(2^K) >= N, on both sides of N = 2^(2^j)."""
+    n = 2 ** (2**j)
+    for order, k in [(n - 1, j), (n, j), (n + 1, j + 1)]:
+        if order < 4:
+            with pytest.raises(ValueError):
+                theorem1_bound(2, order)
+            continue
+        assert decimal_theorem1_k(2, order) == k
+        assert theorem1_bound(2, order) == k
+
+
+def test_theorem1_bound_matches_decimal_oracle():
+    """Every small order, and orders near powers of 2 and 3 up to 2^69."""
+    for n in range(4, 3000):
+        for m in range(2, 17):
+            assert theorem1_bound(m, n) == decimal_theorem1_k(m, n), (m, n)
+    for e in range(2, 70):
+        for n in (2**e - 1, 2**e, 2**e + 1, 3**e):
+            if n < 4:
+                continue
+            for m in range(2, 17):
+                assert theorem1_bound(m, n) == decimal_theorem1_k(m, n), (m, n)
 
 
 # ---------------------------------------------------------------------------

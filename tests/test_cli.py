@@ -77,6 +77,38 @@ def test_cached_sl2_group_respects_lowered_cap(capsys):
     assert "above the cap of 100" in capsys.readouterr().err
 
 
+def test_example1_above_the_cap_exits_2(capsys):
+    """p^(2^k) is refused before any float sees 2^k, so a huge k is a usage
+    error with the cap message, not a traceback."""
+    assert cli.run(["example1", "--p", "3", "--k", "2000"]) == 2
+    err = capsys.readouterr().err
+    assert "cap" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info"],
+        ["ruzsa"],
+        ["gowers", "--size", "3"],
+        ["theorem4"],
+        ["remark12"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sl2_above_the_cap_exits_2_before_primality(argv, capsys):
+    """p^3 - p is tested against the cap before the O(sqrt(p)) primality test."""
+    assert cli.run(["sl2", *argv, "--p", "1000000000000000003"]) == 2
+    assert "SL2 group order" in capsys.readouterr().err
+
+
+def test_theorem1_K_just_above_an_integer(capsys):
+    """4 * ln(log2 58031783) = 13.0000000004..., so K is 14."""
+    code, rep = run_json(capsys, ["theorem1", "--group", "Z58031783", "--m", "4", "--trials", "0"])
+    assert code == 0
+    assert rep["config"]["K"] == 14
+
+
 def test_order_cap_env_var():
     env = dict(os.environ, SUMSETLAB_ORDER_CAP="100")
     proc = subprocess.run(

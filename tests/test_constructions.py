@@ -51,6 +51,8 @@ def test_example_C_validation():
         example_C(1, 1)
     with pytest.raises(OrderCapError):
         example_C(3, 40)
+    with pytest.raises(OrderCapError):
+        example_C(3, 2000)  # 2^2000 * log2(3) overflows a float
 
 
 def test_example_A_cards():
@@ -68,6 +70,9 @@ def test_example_A_validation():
         example_A(3, 2, -1)
     with pytest.raises(OrderCapError):
         example_A(2, 40, 0)
+    for i in (0, 1, 5):
+        with pytest.raises(OrderCapError, match="has at least"):
+            example_A(3, 5, i)
 
 
 # Every (p, k) with p^(2^k) <= 625: k = 1 up to p = 25, k = 2 up to p = 5,

@@ -126,6 +126,32 @@ def test_order_cap_guard():
         set_order_cap(old)
 
 
+@pytest.mark.parametrize(
+    "text, least",
+    [("Z2^99", 2**27), ("Z2^26xZ2", 2**27), ("Z3^17", 3**17), ("Z8193^2", 8193**2)],
+)
+def test_order_cap_message_states_a_true_order(text, least):
+    """The refusal names a lower bound the order really meets, not cap + 1."""
+    with pytest.raises(OrderCapError) as err:
+        parse_group_spec(text)
+    msg = str(err.value)
+    assert f"group {text} has at least {least} elements" in msg
+    assert str(order_cap() + 1) not in msg
+
+
+def test_vector_space_spec_checks_the_cap_first():
+    """A huge exponent is refused after a few multiplications, and a base
+    below 2 before any."""
+    with pytest.raises(OrderCapError, match=r"Z2\^1000000000000000000 has at least 134217728"):
+        vector_space_spec(2, 10**18)
+    with pytest.raises(OrderCapError):
+        vector_space_spec(3, 2**2000)
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError, match=f"cyclic factor must be >= 2, got {p}"):
+            vector_space_spec(p, 10**18)
+    assert vector_space_spec(2, 26).order == order_cap()
+
+
 def test_is_prime():
     primes = [2, 3, 5, 7, 11, 13, 17, 97]
     assert all(is_prime(p) for p in primes)

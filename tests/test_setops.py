@@ -116,6 +116,34 @@ def test_non_integer_index_is_refused(build, x):
         build(x)
 
 
+Z5xZ5 = GroupSpec((5, 5))
+
+
+@pytest.mark.parametrize("x", [2.7, 2.0, True, "2"], ids=repr)
+def test_non_integer_coordinate_is_refused(x):
+    """``GroupSet.from_coords`` takes each coordinate under the index rule."""
+    msg = f"coordinate {x!r} for Z5^2 is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        GroupSet.from_coords(Z5xZ5, [(x, 1)])
+    assert GroupSet.from_coords(Z5xZ5, [(np.int64(2), np.uint8(1))]).indices() == [7]
+
+
+@pytest.mark.parametrize("mult", [1.9, 1.0, True, "1"], ids=repr)
+def test_non_integer_multiplicity_is_refused(mult):
+    msg = f"multiplicity {mult!r} for index 3 is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        ElementMultiset(Z5xZ5, ((3, mult),))
+    assert ElementMultiset(Z5xZ5, ((3, np.int32(2)),)).entries == ((3, 2),)
+
+
+@pytest.mark.parametrize("elem", [[True, 1], [2.0, 3]], ids=repr)
+def test_set_file_refuses_non_integer_coordinates(elem):
+    """A set file listing ``true`` or ``2.0`` is refused, not read as 1 or 2."""
+    msg = f"bad element {elem!r} for Z5^2: coordinate {elem[0]!r} for Z5^2 is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        set_from_json(Z5xZ5, {"elements": [[0, 0], elem]})
+
+
 def test_numpy_integer_indices_are_taken():
     a = GroupSet.from_indices(Z5, np.array([1, 3], dtype=np.int64))
     assert a.indices() == [1, 3]

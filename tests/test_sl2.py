@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    integer_theorem4_k,
     naive_sl2_elements,
     naive_sl2_inverse,
     naive_sl2_mul,
@@ -32,6 +34,7 @@ from sumsetlab.sl2 import (
     theorem4_trials,
     verify_theorem4,
 )
+from sumsetlab.config import OrderCapError
 from sumsetlab.constructions import SearchBudgetError, random_set
 from sumsetlab.groups import parse_group_spec
 from sumsetlab.setops import GroupSet, is_cover, set_from_json, set_to_json
@@ -138,6 +141,16 @@ def test_group_equality_and_index():
             g.index(mat)
     with pytest.raises(ValueError, match="4 matrix entries"):
         g.index((1, 0, 0))
+
+
+@pytest.mark.parametrize("x", [1.5, 1.0, True, "1"], ids=repr)
+def test_index_refuses_non_integer_entries(x):
+    """An entry is taken as an integer or refused by name, never truncated."""
+    g = sl2_group(5)
+    msg = f"matrix entry {x!r} for {g!r} is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        g.index([x, 0, 0, 1])
+    assert g.index([np.int64(1), 0, 0, np.int32(6)]) == g.identity
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +605,42 @@ def test_theorem4_bound_values():
         theorem4_bound(0.0)
     with pytest.raises(ValueError):
         theorem4_bound(-1.0)
+
+
+def test_theorem4_bound_matches_integer_oracle():
+    """The plain floor of log2(3/delta), plus one, is the least K with
+    D^(2^K) > N^3 at every prime 5 <= p < 2000."""
+    primes = [p for p in range(5, 2000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 301
+    for p in primes:
+        info = quasirandom_info(p)
+        assert theorem4_bound(info.delta) == integer_theorem4_k(info.D, info.order), p
+
+
+_BIG_PRIME = 1_000_000_000_000_000_003
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: SL2Group(_BIG_PRIME), lambda: sl2_group(_BIG_PRIME),
+     lambda: remark12(_BIG_PRIME, trials=0)],
+    ids=["SL2Group", "sl2_group", "remark12"],
+)
+def test_order_cap_checked_before_primality(call):
+    """p^3 - p is tested against the cap before the O(sqrt(p)) primality
+    test, which would run for minutes at this p."""
+    with pytest.raises(OrderCapError, match="SL2 group order"):
+        call()
+
+
+def test_small_p_errors_unchanged():
+    for p in (1, 4, 6, 9):
+        with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+            SL2Group(p)
+        with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+            remark12(p, trials=0)
+    with pytest.raises(ValueError, match="p must be >= 3"):
+        quasirandom_info(2)
 
 
 # ---------------------------------------------------------------------------
