@@ -26,14 +26,13 @@ from .constructions import (
     example1_family,
     example_A,
     example_C,
-    random_basis,
     random_basis_matrix,
     random_cover_set,
     random_set,
-    standard_basis,
+    standard_basis_matrix,
     verify_example1,
 )
-from .groups import GroupSpec, add, decode, encode, is_prime, neg, parse_group_spec, vector_space_spec
+from .groups import GroupSpec, decode, encode, is_prime, parse_group_spec, vector_space_spec
 from .setops import (
     ElementMultiset,
     GroupSet,

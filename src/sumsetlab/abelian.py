@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .constructions import enumerate_bases, random_basis_matrix, random_cover_set, random_set
-from .groups import GroupSpec, is_prime, vector_space_spec
+from .groups import GroupSpec, as_int, as_prime, at_least, vector_space_spec
 from .reports import Report, map_trials
 from .setops import (
     ElementMultiset,
@@ -69,9 +69,7 @@ def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> PlunneckeReport:
     _same_spec(a.group, b.group)
     if a.card == 0 or b.card == 0:
         raise ValueError("both sets must be nonempty (alpha is undefined for empty B)")
-    k = int(k)
-    if k < 2:
-        raise ValueError(f"fold count must be > 1, got {k}")
+    k = at_least(k, 2, "fold count")
     s = sumset(a, b)
     alpha = s.card / b.card
     lhs = m_fold(a, k).card
@@ -107,11 +105,7 @@ def plunnecke_trials(spec: GroupSpec, trials: int, seed: int) -> list[PlunneckeR
 
 def theorem1_bound_raw(m: int, order: int) -> float:
     """The raw real bound on K: log2(log2 N) for m = 2, else m*ln(log2 N)."""
-    m = int(m)
-    if m < 2:
-        raise ValueError(f"bound is defined for m >= 2, got {m}")
-    if order < 4:
-        raise ValueError(f"group order must be >= 4, got {order}")
+    m, order = at_least(m, 2, "m"), at_least(order, 4, "group order")
     loglike = math.log2(order)
     if m == 2:
         return math.log2(loglike)
@@ -121,10 +115,10 @@ def theorem1_bound_raw(m: int, order: int) -> float:
 def theorem1_bound(m: int, order: int) -> int:
     """Smallest integer K >= the raw bound, and at least 1.  For m = 2 that is
     the least K with 2^(2^K) >= N, in integers: 2^L >= N from L = (N-1).bit_length()."""
-    raw = theorem1_bound_raw(m, order)  # validates m and N
-    if int(m) == 2:
+    m, order = at_least(m, 2, "m"), at_least(order, 4, "group order")
+    if m == 2:
         return ((order - 1).bit_length() - 1).bit_length()
-    return max(1, math.ceil(raw))
+    return max(1, math.ceil(theorem1_bound_raw(m, order)))
 
 
 @dataclass
@@ -170,9 +164,7 @@ def _theorem1_chain(
     """``verify_theorem1``, taking the hypothesis verdicts when the caller
     already knows them (a trial runner whose sampler accepted each set
     only once its m-fold sumset covered G); ``None`` tests every set."""
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = at_least(m, 1, "m")
     family, hypothesis_ok, chain, half_sets, chain_ok = _prefix_chain(
         family,
         2,
@@ -226,9 +218,8 @@ def theorem1_trials(
     G, so every hypothesis verdict is already known to hold and the chain
     does not test it again.
     """
-    big_k = theorem1_bound(m, spec.order) if K is None else int(K)
-    if big_k < 1:
-        raise ValueError(f"K must be >= 1, got {big_k}")
+    m = at_least(m, 1, "m")
+    big_k = theorem1_bound(m, spec.order) if K is None else at_least(K, 1, "K")
 
     def one(rng: random.Random) -> Theorem1Report:
         sets = [
@@ -252,7 +243,7 @@ def pigeonhole_exhaustive(order: int) -> dict:
     of the whole candidate block at once.  Returns counts and failures
     (expected none).
     """
-    n = int(order)
+    n = as_int(order, "order")
     if not 1 <= n <= 24:
         raise ValueError(f"exhaustive sweep supports orders 1..24, got {n}")
     all_masks = np.arange(1 << n, dtype=np.uint64)
@@ -285,7 +276,7 @@ def pigeonhole_exhaustive(order: int) -> dict:
         pairs += len(block)
     return {
         "order": n,
-        "n_sets": int(len(sets)),
+        "n_sets": len(sets),
         "pairs_checked": pairs,
         "failures": failures,
         "passed": not failures,
@@ -309,11 +300,7 @@ class KpnUpper(Report):
 def kpn_upper(p: int, n: int) -> KpnUpper:
     """Evaluate ``2(p-1) ln n + 2(p-1) ln log2 p`` and, for p = 3, the
     sharper ``2 log2 n + 2``."""
-    p, n = int(p), int(n)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    p, n = as_prime(p), at_least(n, 2, "n")
     general = 2 * (p - 1) * math.log(n) + 2 * (p - 1) * math.log(math.log2(p))
     for_p3 = 2 * math.log2(n) + 2 if p == 3 else None
     return KpnUpper(p=p, n=n, general=general, for_p3=for_p3)
@@ -375,19 +362,14 @@ def kpn_exact_small(
     result is only empirical.  ``budget`` must be at least 1: a level that
     checked no tuple would claim its k with no evidence.
     """
-    p, n, budget = int(p), int(n), int(budget)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    p, n, k_max = as_prime(p), at_least(n, 1, "n"), as_int(k_max, "k_max")
+    budget = at_least(budget, 1, "budget")
     spec = vector_space_spec(p, n)
     bases = enumerate_bases(p, n)
     levels: list[dict] = []
     result_k: int | None = None
     exact = False
-    for k in range(1, int(k_max) + 1):
+    for k in range(1, k_max + 1):
         exhaustive = bases is not None and math.comb(len(bases) + k - 1, k) <= budget
         if exhaustive:
             tuples = itertools.combinations_with_replacement(bases, k)
@@ -420,7 +402,7 @@ def kpn_exact_small(
     return KpnSearchReport(
         p=p,
         n=n,
-        k_max=int(k_max),
+        k_max=k_max,
         budget=budget,
         levels=levels,
         result_k=result_k,

@@ -34,11 +34,10 @@ def order_cap() -> int:
 
 def set_order_cap(value: int) -> None:
     """Override the cap on group order (element count, not bytes)."""
+    from .groups import at_least  # here, since groups imports this module
+
     global _order_cap
-    value = int(value)
-    if value < 2:
-        raise ValueError(f"order cap must be >= 2, got {value}")
-    _order_cap = value
+    _order_cap = at_least(value, 2, "order cap")
 
 
 def _refuse(what: str, count: str) -> OrderCapError:

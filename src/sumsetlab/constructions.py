@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupSpec, is_prime, vector_space_spec
+from .groups import GroupSpec, as_int, as_prime, at_least, vector_space_spec
 from .reports import Report
 from .setops import ElementMultiset, GroupSet, is_cover, m_fold, sumset
 
@@ -34,6 +34,9 @@ from .setops import ElementMultiset, GroupSet, is_cover, m_fold, sumset
 _BASIS_TRIES = 1000
 _COVER_TRIES = 200
 _BASES_CAP = 200_000
+# Keys per ``randbytes`` call in ``random_set``: one call for 2^26 keys
+# would ask ``getrandbits`` for 2^31 bits, more than a C int holds.
+_KEY_CHUNK = 1 << 20
 
 
 class SearchBudgetError(RuntimeError):
@@ -73,11 +76,7 @@ def _half_zero_mask(p: int, i: int) -> np.ndarray:
 def example_C(p: int, i: int) -> GroupSet:
     """Block set C_i over ``Z_p^{2^i}``: nonzero vectors with exactly one
     all-zero half; cardinality ``2(p^{2^(i-1)} - 1)``."""
-    p, i = int(p), int(i)
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if i < 1:
-        raise ValueError(f"block level must be >= 1, got {i}")
+    p, i = at_least(p, 2, "p"), at_least(i, 1, "block level")
     spec = vector_space_spec(p, 2**i)
     _warn_p2(p)
     return GroupSet.from_mask(spec, _half_zero_mask(p, i))
@@ -86,9 +85,7 @@ def example_C(p: int, i: int) -> GroupSet:
 def example_A(p: int, k: int, i: int) -> GroupSet:
     """Family member A_i over ``Z_p^{2^k}``: the nonzero-coordinate cube for
     i = 0, else the ``2^(k-i)``-fold blockwise product of C_i."""
-    p, k, i = int(p), int(k), int(i)
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    p, k, i = at_least(p, 2, "p"), as_int(k, "k"), as_int(i, "family index")
     if not 0 <= i <= k:
         raise ValueError(f"family index must be in [0, {k}], got {i}")
     if i == 0:
@@ -110,11 +107,9 @@ class Example1Family:
 
 
 def example1_family(p: int, k: int) -> Example1Family:
-    if int(k) < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n = 2 ** int(k)
-    sets = tuple(example_A(p, k, i) for i in range(int(k) + 1))
-    return Example1Family(int(p), int(k), n, sets[0].group, sets)
+    p, k = at_least(p, 2, "p"), at_least(k, 1, "k")
+    sets = tuple(example_A(p, k, i) for i in range(k + 1))
+    return Example1Family(p, k, 2**k, sets[0].group, sets)
 
 
 @dataclass
@@ -151,7 +146,7 @@ def verify_example1(p: int, k: int) -> Example1Report:
     cardinality ``(p^{2^j} - 1)^{2^(k-j)}``), and the full chain still
     missing the group.
     """
-    p, k = int(p), int(k)
+    p, k = at_least(p, 2, "p"), at_least(k, 1, "k")
     with warnings.catch_warnings():
         if p == 2:
             warnings.simplefilter("ignore")
@@ -230,8 +225,8 @@ def _punctured_product(p: int, j: int, k: int) -> GroupSet:
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Row rank over Z_p by Gaussian elimination."""
-    mat = [list(int(x) % p for x in row) for row in rows]
+    """Row rank over Z_p of integer rows, by Gaussian elimination."""
+    mat = [[x % p for x in row] for row in rows]
     if not mat:
         return 0
     ncols = len(mat[0])
@@ -259,20 +254,23 @@ class SingularRowsError(ValueError):
 
 @dataclass(frozen=True)
 class BasisMatrix:
-    """n independent row vectors over Z_p."""
+    """n independent row vectors over Z_p, with integer entries."""
 
     p: int
     n: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        rows = tuple(tuple(int(x) % self.p for x in row) for row in self.rows)
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
-            raise ValueError(f"expected {self.n} rows of length {self.n}")
-        if rank_mod_p(rows, self.p) != self.n:
-            raise SingularRowsError(f"rows are not linearly independent over Z_{self.p}")
+        p, n = as_prime(self.p), at_least(self.n, 1, "n")
+        rows = tuple(
+            tuple(as_int(x, "matrix entry", f"Z_{p}") % p for x in row) for row in self.rows
+        )
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError(f"expected {n} rows of length {n}")
+        if rank_mod_p(rows, p) != n:
+            raise SingularRowsError(f"rows are not linearly independent over Z_{p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
     def to_multiset(self) -> ElementMultiset:
@@ -282,24 +280,17 @@ class BasisMatrix:
 
 def standard_basis_matrix(p: int, n: int) -> BasisMatrix:
     """The n unit vectors of Z_p^n as the rows of the identity matrix."""
-    rows = tuple(
-        tuple(1 if j == i else 0 for j in range(int(n))) for i in range(int(n))
-    )
-    return BasisMatrix(int(p), int(n), rows)
-
-
-def standard_basis(p: int, n: int) -> ElementMultiset:
-    """The n unit vectors of Z_p^n."""
-    return standard_basis_matrix(p, n).to_multiset()
+    n = vector_space_spec(p, n).rank  # refuses p^n above the cap before any row is built
+    rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+    return BasisMatrix(p, n, rows)
 
 
 def random_basis_matrix(p: int, n: int, seed: int) -> BasisMatrix:
     """A uniformly-ish random basis: resample the n x n matrix until it is
     invertible mod p (expected O(1) retries, at most ``_BASIS_TRIES``).  Each draw is ranked once, by
     ``BasisMatrix`` itself, which rejects a singular draw."""
-    p, n = int(p), int(n)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    p = as_prime(p)
+    n = vector_space_spec(p, n).rank  # refuses p^n above the cap before any row is built
     rng = random.Random(seed)
     for _ in range(_BASIS_TRIES):
         rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
@@ -310,20 +301,14 @@ def random_basis_matrix(p: int, n: int, seed: int) -> BasisMatrix:
     raise SearchBudgetError(f"no invertible {n}x{n} matrix mod {p} in {_BASIS_TRIES} draws")
 
 
-def random_basis(p: int, n: int, seed: int) -> ElementMultiset:
-    """Rows of a seeded random invertible matrix over Z_p, as a multiset."""
-    return random_basis_matrix(p, n, seed).to_multiset()
-
-
 def enumerate_bases(p: int, n: int) -> list[tuple[tuple[int, ...], ...]] | None:
     """All unordered bases of Z_p^n as sorted row tuples, or None when the
     candidate pool ``C(p^n - 1, n)`` exceeds ``_BASES_CAP``."""
-    p, n = int(p), int(n)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    nonzero = [v for v in itertools.product(range(p), repeat=n) if any(v)]
-    if math.comb(len(nonzero), n) > _BASES_CAP:
+    p = as_prime(p)
+    n = vector_space_spec(p, n).rank  # refuses p^n above the cap
+    if math.comb(p**n - 1, n) > _BASES_CAP:  # before the pool is listed
         return None
+    nonzero = [v for v in itertools.product(range(p), repeat=n) if any(v)]
     out = []
     for combo in itertools.combinations(nonzero, n):
         if rank_mod_p(combo, p) == n:
@@ -338,19 +323,26 @@ def enumerate_bases(p: int, n: int) -> list[tuple[tuple[int, ...], ...]] | None:
 def random_set(spec: GroupSpec, size: int, rng: random.Random) -> GroupSet:
     """A uniformly random subset with exactly ``size`` elements, drawn from ``rng``.
 
-    One ``rng.randbytes`` call gives every element a uniform 32-bit key, and
-    the set is the ``size`` elements with the smallest keys.  A draw with a
-    tie at that boundary (probability below order / 2^32) is redrawn; the
-    keys are exchangeable, so the accepted set is exactly uniform over the
-    ``size``-subsets.  A zero key in front of the others is the threshold
-    when ``size`` is 0.  The cost is a few numpy passes over the order, with
-    no per-element Python work.  Any group with an ``order`` works;
-    ``sl2.random_sl2_set`` builds through here too.
+    ``rng.randbytes`` gives every element a uniform 32-bit key, and the set
+    is the ``size`` elements with the smallest keys.  The keys are drawn
+    ``_KEY_CHUNK`` at a time: calls whose lengths are multiples of 4 bytes
+    give the same bytes, and leave ``rng`` in the same state, as one call
+    for every key would.  A draw with a tie at that boundary (probability
+    below order / 2^32) is redrawn; the keys are exchangeable, so the
+    accepted set is exactly uniform over the ``size``-subsets.  A zero key
+    in front of the others is the threshold when ``size`` is 0.  The cost
+    is a few numpy passes over the order, with no per-element Python work.
+    Any group with an ``order`` works; ``sl2.random_sl2_set`` builds
+    through here too.
     """
-    if not 0 <= size <= spec.order:
-        raise ValueError(f"size {size} out of range [0, {spec.order}]")
+    size, order = as_int(size, "size", spec), spec.order
+    if not 0 <= size <= order:
+        raise ValueError(f"size {size} out of range [0, {order}]")
     while True:
-        keys = np.frombuffer(bytes(4) + rng.randbytes(4 * spec.order), "<u4")
+        keys = bytearray(4)
+        for lo in range(0, order, _KEY_CHUNK):
+            keys += rng.randbytes(4 * min(_KEY_CHUNK, order - lo))
+        keys = np.frombuffer(keys, "<u4")
         mask = keys[1:] <= np.partition(keys, size)[size]
         if np.count_nonzero(mask) == size:
             return GroupSet.from_mask(spec, mask)
@@ -363,8 +355,7 @@ def random_cover_set(spec: GroupSpec, m: int, target_density: float, seed: int) 
     Raises SearchBudgetError when all ``_COVER_TRIES`` draws fail, which
     signals that the density is too low for the requested m on this group.
     """
-    if int(m) < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = at_least(m, 1, "m")
     if not 0.0 < target_density <= 1.0:
         raise ValueError(f"target density must be in (0, 1], got {target_density}")
     size = math.ceil(target_density * spec.order)

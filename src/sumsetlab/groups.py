@@ -5,6 +5,12 @@ integer index in ``[0, d1*...*dr)`` whose little-endian mixed-radix digits
 are the coordinates (first factor least significant).  The factor list is
 kept exactly as the user wrote it -- ``Z6xZ10`` is not rewritten into
 invariant-factor form.
+
+Every integer parameter of the library -- counts, sizes, dimensions,
+primes, indices and coordinates -- enters through ``as_int`` and the two
+checkers beside it, ``at_least`` and ``as_prime``: any integer type is
+taken, numpy integers included, and floats, bools and strings are refused
+with a ``ValueError`` rather than truncated.
 """
 
 from __future__ import annotations
@@ -49,12 +55,9 @@ class GroupSpec:
     weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        factors = tuple(int(d) for d in self.factors)
+        factors = tuple(at_least(d, 2, "cyclic factor") for d in self.factors)
         if not factors:
             raise ValueError("a group needs at least one cyclic factor")
-        for d in factors:
-            if d < 2:
-                raise ValueError(f"cyclic factor must be >= 2, got {d}")
         weights = []
         order = 1
         for d in factors:
@@ -102,15 +105,34 @@ def parse_group_spec(text: str) -> GroupSpec:
     return GroupSpec(tuple(d for d, e in terms for _ in range(e)))
 
 
-def as_int(x, what: str, where: object) -> int:
+def as_int(x, what: str, where: object = None) -> int:
     """``x`` as a plain int: any integer type, numpy integers included.
-    Floats and bools are refused with a ``ValueError`` that names ``x``."""
+    Floats, bools and strings are refused with a ``ValueError`` that names
+    ``x`` (and ``where`` it was given, when that is not None)."""
     if not isinstance(x, bool):
         try:
             return operator.index(x)
         except TypeError:
             pass
-    raise ValueError(f"{what} {x!r} for {where} is not an integer")
+    at = "" if where is None else f" for {where}"
+    raise ValueError(f"{what} {x!r}{at} is not an integer")
+
+
+def at_least(x, lo: int, what: str) -> int:
+    """``x`` under the rule of ``as_int``, refused when below ``lo``."""
+    n = as_int(x, what)
+    if n < lo:
+        raise ValueError(f"{what} must be >= {lo}, got {n}")
+    return n
+
+
+def as_prime(p) -> int:
+    """``p`` under the rule of ``as_int``, refused unless it is prime (and,
+    through ``is_prime``, when it is at or above ``_PRIME_LIMIT``)."""
+    p = as_int(p, "p")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return p
 
 
 def check_index(spec: GroupSpec, x: int) -> int:
@@ -147,39 +169,42 @@ def decode(spec: GroupSpec, x: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def add(spec: GroupSpec, x: int, y: int) -> int:
-    """Coordinatewise addition modulo each factor."""
-    xc = decode(spec, x)
-    yc = decode(spec, y)
-    return sum(((a + b) % d) * w for a, b, d, w in zip(xc, yc, spec.factors, spec.weights))
-
-
-def neg(spec: GroupSpec, x: int) -> int:
-    """Coordinatewise negation; ``add(spec, x, neg(spec, x)) == 0``."""
-    xc = decode(spec, x)
-    return sum(((-a) % d) * w for a, d, w in zip(xc, spec.factors, spec.weights))
+# Miller-Rabin to these bases, the first 13 primes, decides every n below
+# _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    n = int(n)
+    """Whether ``n`` is prime: trial division by the bases, then a
+    deterministic Miller-Rabin test.  ``n`` at or above ``_PRIME_LIMIT`` is
+    refused: above it no proof covers these bases."""
+    n = as_int(n, "n")
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {_PRIME_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def vector_space_spec(p: int, n: int) -> GroupSpec:
-    """The group ``Z_p^n`` (p need not be prime here; callers enforce that)."""
-    p, n = int(p), int(n)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    """The group ``Z_p^n`` (p need not be prime here; callers enforce that).
+    The order cap is checked before any factor list is built."""
+    p, n = as_int(p, "cyclic factor"), at_least(n, 1, "dimension")
     check_powers([(p, n)], f"group Z{p}^{n}")
     return GroupSpec((p,) * n)

@@ -17,14 +17,14 @@ import random
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Sequence, TypeVar
 
+from .groups import at_least
+
 T = TypeVar("T")
 
 
 def map_trials(fn: Callable[[random.Random], T], trials: int, seed: int) -> list[T]:
     """``[fn(Random(seed + i)) for i in range(trials)]``, in trial order."""
-    trials = int(trials)
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    trials = at_least(trials, 0, "trials")
     return [fn(random.Random(seed + i)) for i in range(trials)]
 
 

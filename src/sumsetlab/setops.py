@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import GroupSpec, as_int, check_index, decode, encode
+from .groups import GroupSpec, as_int, at_least, check_index, decode, encode
 
 if TYPE_CHECKING:
     from .sl2 import SL2Group
@@ -358,9 +358,7 @@ def m_fold(a: GroupSet, m: int) -> GroupSet:
     with the full group as soon as an intermediate covers it, since the
     full group is absorbing under sumsets with nonempty sets.
     """
-    m = int(m)
-    if m < 0:
-        raise ValueError(f"fold count must be >= 0, got {m}")
+    m = at_least(m, 0, "fold count")
     spec = a.group
     if m == 0:
         return GroupSet.identity(spec)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import check_order
 from .constructions import SearchBudgetError, random_set
-from .groups import as_int, is_prime
+from .groups import as_int, as_prime, at_least
 from .reports import Report, map_trials
 from .setops import GroupSet, _prefix_chain, _same_spec, is_cover
 
@@ -50,12 +50,10 @@ _HYPOTHESIS_TRIES = 200  # draws before ``sample_hypothesis_set`` gives up
 
 
 def _check_p(p: int) -> int:
-    """``int(p)``, checked against the order cap before the O(sqrt(p)) primality test."""
-    p = int(p)
+    """``p`` as a plain int, checked against the order cap and then for primality."""
+    p = as_int(p, "p")
     check_order(p**3 - p, "SL2 group order")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return p
+    return as_prime(p)
 
 
 class SL2Group:
@@ -228,12 +226,11 @@ def _cached_group(p: int) -> SL2Group:
 def sl2_group(p: int) -> SL2Group:
     """Shared immutable group instance for a given p.
 
-    The order cap is checked on every call, so a group cached under a
-    higher cap is refused once the cap is lowered.
+    ``p`` and the order cap are checked on every call, before the cache is
+    read: a group cached under a higher cap is refused once the cap is
+    lowered, and 7.0, which hashes as 7, is refused rather than served.
     """
-    group = _cached_group(p)
-    check_order(group.order, "SL2 group order")
-    return group
+    return _cached_group(_check_p(p))
 
 
 SL2Set = GroupSet  # the one set type, under the name SL2 callers know
@@ -390,14 +387,16 @@ class QuasirandomInfo(Report):
 
 
 def quasirandom_info(p: int) -> QuasirandomInfo:
-    p = int(p)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if p < 3:
-        raise ValueError("p must be >= 3 (D = (p-1)/2 would be 0 at p=2)")
+    p = at_least(as_prime(p), 3, "p")  # D = (p-1)/2 would be 0 at p = 2
     n = p**3 - p
     d = (p - 1) // 2
     return QuasirandomInfo(p=p, order=n, D=d, delta=math.log(d) / math.log(n))
+
+
+def _triple_product_info(g: SL2Group) -> QuasirandomInfo:
+    """``quasirandom_info`` of ``g``, refused below p = 5, where D = 1 and
+    the triple-product step claims nothing."""
+    return quasirandom_info(at_least(g.p, 5, "p"))
 
 
 @dataclass
@@ -422,9 +421,7 @@ def check_gowers(a: GroupSet, b: GroupSet, c: GroupSet) -> GowersReport:
     _same_spec(a.group, b.group)
     _same_spec(a.group, c.group)
     g = _require_sl2(a.group)
-    if g.p < 5:
-        raise ValueError(f"requires p >= 5, got p={g.p}")
-    info = quasirandom_info(g.p)
+    info = _triple_product_info(g)
     triple = a.card * b.card * c.card
     premise = triple * info.D > g.order**3
     abc = product_set(product_set(a, b), c)
@@ -501,8 +498,6 @@ def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None
     """``verify_theorem4``, taking the hypothesis verdicts when the caller
     already knows them (a trial runner whose sampler accepted each set
     only once A A^-1 covered G); ``None`` tests every set."""
-    if family and _require_sl2(family[0].group).p < 5:
-        raise ValueError(f"requires p >= 5, got p={family[0].group.p}")
     family, hypothesis_ok, chain, block_products, chain_ok = _prefix_chain(
         family,
         3,
@@ -513,7 +508,7 @@ def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None
     )
     g = family[0].group
     n = g.order
-    info = quasirandom_info(g.p)
+    info = _triple_product_info(g)
     floor = n ** (1.0 - info.delta / 3.0)
     blocks = [
         {
@@ -620,9 +615,7 @@ def theorem4_trials(
     not test it again.
     """
     g = sl2_group(p)
-    big_k = theorem4_bound(quasirandom_info(p).delta) if K is None else int(K)
-    if big_k < 1:
-        raise ValueError(f"K must be >= 1, got {big_k}")
+    big_k = theorem4_bound(quasirandom_info(g.p).delta) if K is None else at_least(K, 1, "K")
 
     def one(rng: random.Random) -> Theorem4Report:
         sets = [sample_hypothesis_set(g, rng, density) for _ in range(3 * big_k)]
@@ -637,9 +630,7 @@ def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> R
     For p=5 the bound gives K=5, so the twelve-set statement is not implied;
     the report says so and runs nothing.
     """
-    p = _check_p(p)
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    p, trials = _check_p(p), at_least(trials, 0, "trials")
     info = quasirandom_info(p)  # rejects p < 3
     if info.delta <= 0:
         raise ValueError(f"delta = 0 at p={p}: the bound is undefined")

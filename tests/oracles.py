@@ -17,6 +17,32 @@ def add_coords(factors, x, y):
     return tuple((a + b) % d for a, b, d in zip(x, y, factors))
 
 
+def add(spec, x, y):
+    """Element indices added coordinatewise, through the spec's own codec."""
+    return spec.index(add_coords(spec.factors, spec.element(x), spec.element(y)))
+
+
+def neg(spec, x):
+    """The index of -x, through the spec's own codec."""
+    return spec.index(tuple(-c % d for c, d in zip(spec.element(x), spec.factors)))
+
+
+def is_prime_trial_division(n):
+    """Primality by trial division by 2 and the odd numbers up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def all_coords(factors):
     return [tuple(reversed(c)) for c in product(*(range(d) for d in reversed(factors)))]
 

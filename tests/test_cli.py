@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -97,9 +98,29 @@ def test_example1_above_the_cap_exits_2(capsys):
     ids=lambda argv: argv[0],
 )
 def test_sl2_above_the_cap_exits_2_before_primality(argv, capsys):
-    """p^3 - p is tested against the cap before the O(sqrt(p)) primality test."""
+    """p^3 - p is tested against the cap before the primality test."""
     assert cli.run(["sl2", *argv, "--p", "1000000000000000003"]) == 2
     assert "SL2 group order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--random"]], ids=["standard", "random"])
+def test_basis_above_the_cap_exits_2_before_any_row(extra, capsys):
+    """3^2000 is refused before the 2000 x 2000 rows are built or ranked."""
+    start = time.perf_counter()
+    assert cli.run(["basis", "--p", "3", "--n", "2000", *extra]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "p, code", [("1000000000000000003", 0), ("3317044064679887385961981", 2)]
+)
+def test_kpn_decides_primality_at_once(p, code, capsys):
+    """A prime near 10^18 is decided by Miller-Rabin, not trial division, and
+    a p beyond the proven range of its bases is a usage error."""
+    start = time.perf_counter()
+    assert cli.run(["kpn", "--p", p, "--n", "2"]) == code
+    assert time.perf_counter() - start < 1.0
 
 
 def test_theorem1_K_just_above_an_integer(capsys):

@@ -17,15 +17,14 @@ from sumsetlab.constructions import (
     example1_family,
     example_A,
     example_C,
-    random_basis,
     random_basis_matrix,
     random_cover_set,
     random_set,
     rank_mod_p,
-    standard_basis,
+    standard_basis_matrix,
     verify_example1,
 )
-from sumsetlab.groups import parse_group_spec, vector_space_spec
+from sumsetlab.groups import GroupSpec, parse_group_spec, vector_space_spec
 from sumsetlab.setops import GroupSet, is_cover, m_fold, subset_sums, sumset
 from sumsetlab.sl2 import sl2_group
 
@@ -179,7 +178,7 @@ def test_basis_matrix_validation():
 
 
 def test_standard_basis():
-    b = standard_basis(3, 2)
+    b = standard_basis_matrix(3, 2).to_multiset()
     assert frozenset(b.coords()) == {(1, 0), (0, 1)}
 
 
@@ -188,7 +187,7 @@ def test_standard_basis():
 def test_random_basis_independent_and_deterministic(seed):
     m = random_basis_matrix(2, 3, seed)
     assert rank_mod_p(m.rows, 2) == 3
-    assert random_basis(2, 3, seed) == random_basis(2, 3, seed)
+    assert random_basis_matrix(2, 3, seed).to_multiset() == m.to_multiset()
 
 
 def test_random_basis_ranks_each_draw_once(monkeypatch):
@@ -221,9 +220,9 @@ def test_enumerate_bases_counts():
 def test_basis_power_identity(p, n):
     """(p-1)-fold sumset of a basis closure is the whole space."""
     spec = vector_space_spec(p, n)
-    bases = [standard_basis(p, n)] + [random_basis(p, n, seed) for seed in (0, 1)]
+    bases = [standard_basis_matrix(p, n)] + [random_basis_matrix(p, n, seed) for seed in (0, 1)]
     for b in bases:
-        closure = subset_sums(b)
+        closure = subset_sums(b.to_multiset())
         assert is_cover(m_fold(closure, p - 1))
         if p == 2:
             assert closure.card == 2**n
@@ -310,6 +309,19 @@ def test_random_set_deterministic_per_seed(group):
             assert rng_a.getstate() == rng_b.getstate()
     thirds = {random_set(group, n // 3, random.Random(seed)).bits for seed in range(3)}
     assert len(thirds) == 3
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_random_set_chunked_draw_matches_one_draw(chunk, monkeypatch):
+    """Keys drawn ``chunk`` at a time give the same set, and leave the
+    generator in the same state, as one ``randbytes`` call for every key."""
+    cases = [(GroupSpec((order,)), order // 3) for order in range(2, 65)]
+    whole = [random.Random(spec.order) for spec, _ in cases]
+    expected = [random_set(spec, size, rng) for (spec, size), rng in zip(cases, whole)]
+    monkeypatch.setattr(constructions, "_KEY_CHUNK", chunk)
+    parts = [random.Random(spec.order) for spec, _ in cases]
+    assert [random_set(spec, size, rng) for (spec, size), rng in zip(cases, parts)] == expected
+    assert [rng.getstate() for rng in parts] == [rng.getstate() for rng in whole]
 
 
 @pytest.mark.parametrize("size", [2, 3])

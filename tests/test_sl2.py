@@ -627,8 +627,7 @@ _BIG_PRIME = 1_000_000_000_000_000_003
     ids=["SL2Group", "sl2_group", "remark12"],
 )
 def test_order_cap_checked_before_primality(call):
-    """p^3 - p is tested against the cap before the O(sqrt(p)) primality
-    test, which would run for minutes at this p."""
+    """p^3 - p is tested against the cap before the primality test."""
     with pytest.raises(OrderCapError, match="SL2 group order"):
         call()
 
