@@ -22,7 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .constructions import enumerate_bases, random_basis_matrix, random_cover_set, random_set
+from .config import check_order
+from .constructions import (
+    check_density,
+    enumerate_bases,
+    random_basis_matrix,
+    random_cover_set,
+    random_set,
+)
 from .groups import GroupSpec, as_int, as_prime, at_least, vector_space_spec
 from .reports import Report, map_trials
 from .setops import (
@@ -158,6 +165,19 @@ def verify_theorem1(family: Sequence[GroupSet], m: int) -> Theorem1Report:
     return _theorem1_chain(family, m, None)
 
 
+def _growth_holds(n: int, prev: int, card: int, m: int) -> bool:
+    """Whether ``card^m >= n * prev^(m-1)``, in exact integers, for a chain
+    step (``prev <= card``).  When ``prev < card < n``, Bernoulli's
+    inequality ``(card/prev)^t >= 1 + t(card - prev)/prev``, t = m - 1,
+    proves the claim for every t at or above prev(n - card) / (card(card -
+    prev)), which is below n; so the powers are formed only for m <= n, and
+    a huge m costs nothing."""
+    if card >= n or card == prev:
+        return card >= n
+    t = m - 1
+    return card * (prev + t * (card - prev)) >= n * prev or card**m >= n * prev**t
+
+
 def _theorem1_chain(
     family: Sequence[GroupSet], m: int, hypothesis_ok: list[bool] | None
 ) -> Theorem1Report:
@@ -173,7 +193,7 @@ def _theorem1_chain(
         hypothesis_ok,
         lambda n, prev, card: (
             n ** (1.0 / m) * prev ** ((m - 1.0) / m),
-            card**m >= n * prev ** (m - 1),
+            _growth_holds(n, prev, card, m),
         ),
     )
     spec = family[0].group
@@ -216,10 +236,15 @@ def theorem1_trials(
 
     ``random_cover_set`` returns a set only once its m-fold sumset covers
     G, so every hypothesis verdict is already known to hold and the chain
-    does not test it again.
+    does not test it again.  The density is checked before any trial, and
+    so is the size of the family that each trial draws, 2K * |G| elements,
+    against the order cap; zero trials draw no family.
     """
     m = at_least(m, 1, "m")
     big_k = theorem1_bound(m, spec.order) if K is None else at_least(K, 1, "K")
+    check_density(density, "target density")
+    if trials:
+        check_order(2 * big_k * spec.order, f"a family of {2 * big_k} sets in {spec}")
 
     def one(rng: random.Random) -> Theorem1Report:
         sets = [

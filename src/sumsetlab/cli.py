@@ -1,8 +1,13 @@
-"""Command-line front end: parse specs and set files, dispatch, report.
+"""Command-line front end: parse specs and set files, run, report.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the report
 carries the witness), 2 usage or configuration error.  Reports go to
 stdout; diagnostics go to stderr.
+
+Each subcommand declares, beside its options, its runner (``args ->
+(passed, report)``) and its config keys.  The envelope's ``config`` lists
+every option that shapes the result, read after the runner so that a value
+it resolves (``theorem1``'s default ``K``) is recorded.
 
 ``run(argv)`` can be called many times in one process.  The argument
 parser is built on the first call and reused by every later one; each run
@@ -60,11 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="path to set file A")
     p.add_argument("--b", required=True, help="path to set file B")
     _common(p)
+    p.set_defaults(run=_sumset, config=("group", "a", "b"))
 
     p = sub.add_parser("example1", help="verify the half-zero family at (p, k)")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
     _common(p)
+    p.set_defaults(run=lambda a: _one(constructions.verify_example1(a.p, a.k)), config=("p", "k"))
 
     p = sub.add_parser("theorem1", help="two-half covering trials on random cover sets")
     p.add_argument("--group", required=True)
@@ -73,11 +80,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--density", type=float, default=0.5)
     _common(p)
+    p.set_defaults(run=_theorem1, config=("group", "m", "K", "trials", "seed", "density"))
 
     p = sub.add_parser("plunnecke", help="growth inequality trials on random sets")
     p.add_argument("--group", required=True)
     p.add_argument("--trials", type=int, default=100)
     _common(p)
+    p.set_defaults(
+        run=lambda a: _trials(
+            abelian.plunnecke_trials(parse_group_spec(a.group), a.trials, a.seed)
+        ),
+        config=("group", "trials", "seed"),
+    )
 
     p = sub.add_parser("kpn", help="bases-union constant: upper bounds and tiny search")
     p.add_argument("--p", required=True, type=int)
@@ -86,12 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--budget", type=int, default=10_000)
     _common(p)
+    p.set_defaults(run=_kpn, config=("p", "n", "exact", "k_max", "budget", "seed"))
 
     p = sub.add_parser("basis", help="emit a basis and its subset-sum closure size")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--random", action="store_true", help="seeded random instead of standard")
     _common(p)
+    p.set_defaults(run=_basis, config=("p", "n", "random", "seed"))
 
     sl2p = sub.add_parser("sl2", help="SL2(Z_p) checks")
     sl2sub = sl2p.add_subparsers(dest="sl2_command", required=True)
@@ -99,17 +115,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sl2sub.add_parser("info", help="order, D, delta, and the block-count bound")
     p.add_argument("--p", required=True, type=int)
     _common(p)
+    p.set_defaults(run=_sl2_info, config=("p",))
 
     p = sl2sub.add_parser("ruzsa", help="triangle inequality trials")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--trials", type=int, default=100)
     _common(p)
+    p.set_defaults(
+        run=lambda a: _trials(sl2.ruzsa_trials(a.p, a.trials, a.seed)),
+        config=("p", "trials", "seed"),
+    )
 
     p = sl2sub.add_parser("gowers", help="triple-product covering trials")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--size", required=True, type=int)
     p.add_argument("--trials", type=int, default=100)
     _common(p)
+    p.set_defaults(
+        run=lambda a: _trials(sl2.gowers_trials(a.p, a.size, a.trials, a.seed)),
+        config=("p", "size", "trials", "seed"),
+    )
 
     p = sl2sub.add_parser("theorem4", help="three-block covering chain trials")
     p.add_argument("--p", required=True, type=int)
@@ -117,22 +142,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--density", type=float, default=0.25)
     _common(p)
+    p.set_defaults(
+        run=lambda a: _trials(sl2.theorem4_trials(a.p, a.trials, a.seed, a.K, a.density)),
+        config=("p", "trials", "seed", "K", "density"),
+    )
 
     p = sl2sub.add_parser("remark12", help="twelve-set consequence at p >= 7")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--density", type=float, default=0.25)
     _common(p)
+    p.set_defaults(
+        run=lambda a: _one(sl2.remark12(a.p, a.trials, a.seed, a.density)),
+        config=("p", "trials", "seed", "density"),
+    )
 
     return parser
 
 
-def _cmd_sumset(args) -> tuple[bool, dict, Any]:
+def _trials(reports) -> tuple[bool, list]:
+    """A sweep's verdict and its per-trial reports."""
+    return all(r.passed for r in reports), [r.to_dict() for r in reports]
+
+
+def _one(report) -> tuple[bool, dict]:
+    return report.passed, report.to_dict()
+
+
+def _sumset(args) -> tuple[bool, dict]:
     spec = parse_group_spec(args.group)
-    a = load_set(args.a, spec)
-    b = load_set(args.b, spec)
+    a, b = load_set(args.a, spec), load_set(args.b, spec)
     s = sumset(a, b)
-    report = {
+    return True, {
         "group": str(spec),
         "card_a": a.card,
         "card_b": b.card,
@@ -140,57 +181,32 @@ def _cmd_sumset(args) -> tuple[bool, dict, Any]:
         "covers": s.card == spec.order,
         "sum": set_to_json(s, form="elements" if s.card <= 4096 else "bitmask"),
     }
-    config = {"group": args.group, "a": args.a, "b": args.b}
-    return True, config, report
 
 
-def _cmd_example1(args) -> tuple[bool, dict, Any]:
-    report = constructions.verify_example1(args.p, args.k)
-    config = {"p": args.p, "k": args.k}
-    return report.passed, config, report.to_dict()
-
-
-def _cmd_theorem1(args) -> tuple[bool, dict, Any]:
+def _theorem1(args) -> tuple[bool, list]:
     spec = parse_group_spec(args.group)
-    big_k = abelian.theorem1_bound(args.m, spec.order) if args.K is None else args.K
-    reports = abelian.theorem1_trials(
-        spec, args.m, args.trials, args.seed, K=big_k, density=args.density
-    )
-    config = {
-        "group": args.group,
-        "m": args.m,
-        "K": big_k,
-        "trials": args.trials,
-        "seed": args.seed,
-        "density": args.density,
-    }
-    return all(r.passed for r in reports), config, [r.to_dict() for r in reports]
+    if args.K is None:
+        args.K = abelian.theorem1_bound(args.m, spec.order)  # so that the config records it
+    reports = abelian.theorem1_trials(spec, args.m, args.trials, args.seed, args.K, args.density)
+    return _trials(reports)
 
 
-def _cmd_plunnecke(args) -> tuple[bool, dict, Any]:
-    spec = parse_group_spec(args.group)
-    reports = abelian.plunnecke_trials(spec, args.trials, args.seed)
-    config = {"group": args.group, "trials": args.trials, "seed": args.seed}
-    return all(r.passed for r in reports), config, [r.to_dict() for r in reports]
-
-
-def _cmd_kpn(args) -> tuple[bool, dict, Any]:
+def _kpn(args) -> tuple[bool, dict]:
     report: dict = {"upper": abelian.kpn_upper(args.p, args.n).to_dict()}
     if args.exact:
         report["search"] = abelian.kpn_exact_small(
             args.p, args.n, k_max=args.k_max, budget=args.budget, seed=args.seed
         ).to_dict()
-    config = {"p": args.p, "n": args.n, "exact": args.exact}
-    return True, config, report
+    return True, report
 
 
-def _cmd_basis(args) -> tuple[bool, dict, Any]:
+def _basis(args) -> tuple[bool, dict]:
     if args.random:
         basis = constructions.random_basis_matrix(args.p, args.n, args.seed)
     else:
         basis = constructions.standard_basis_matrix(args.p, args.n)
     closure_card = subset_sums(basis.to_multiset()).card
-    report = {
+    return True, {
         "p": args.p,
         "n": args.n,
         "random": args.random,
@@ -198,74 +214,18 @@ def _cmd_basis(args) -> tuple[bool, dict, Any]:
         "closure_card": closure_card,
         "is_additive_basis": closure_card == args.p**args.n,
     }
-    config = {"p": args.p, "n": args.n, "random": args.random, "seed": args.seed}
-    return True, config, report
 
 
-def _cmd_sl2_info(args) -> tuple[bool, dict, Any]:
+def _sl2_info(args) -> tuple[bool, dict]:
     g = sl2_group(args.p)
-    report: dict = {
-        "p": g.p,
-        "order": g.order,
-        "D": None,
-        "delta": None,
-        "K": None,
-        "n_sets": None,
-    }
+    report: dict = {"p": g.p, "order": g.order, "D": None, "delta": None, "K": None, "n_sets": None}
     if g.p >= 3:
         info = sl2.quasirandom_info(g.p)
-        report["D"] = info.D
-        report["delta"] = info.delta
+        report.update(D=info.D, delta=info.delta)
         if info.delta > 0:
-            report["K"] = sl2.theorem4_bound(info.delta)
-            report["n_sets"] = 3 * report["K"]
-    config = {"p": args.p}
-    return True, config, report
-
-
-def _cmd_sl2_ruzsa(args) -> tuple[bool, dict, Any]:
-    reports = sl2.ruzsa_trials(args.p, args.trials, args.seed)
-    config = {"p": args.p, "trials": args.trials, "seed": args.seed}
-    return all(r.passed for r in reports), config, [r.to_dict() for r in reports]
-
-
-def _cmd_sl2_gowers(args) -> tuple[bool, dict, Any]:
-    reports = sl2.gowers_trials(args.p, args.size, args.trials, args.seed)
-    config = {"p": args.p, "size": args.size, "trials": args.trials, "seed": args.seed}
-    return all(r.passed for r in reports), config, [r.to_dict() for r in reports]
-
-
-def _cmd_sl2_theorem4(args) -> tuple[bool, dict, Any]:
-    reports = sl2.theorem4_trials(args.p, args.trials, args.seed, K=args.K, density=args.density)
-    config = {
-        "p": args.p,
-        "trials": args.trials,
-        "seed": args.seed,
-        "K": args.K,
-        "density": args.density,
-    }
-    return all(r.passed for r in reports), config, [r.to_dict() for r in reports]
-
-
-def _cmd_sl2_remark12(args) -> tuple[bool, dict, Any]:
-    report = sl2.remark12(args.p, trials=args.trials, seed=args.seed, density=args.density)
-    config = {"p": args.p, "trials": args.trials, "seed": args.seed}
-    return report.passed, config, report.to_dict()
-
-
-_DISPATCH = {
-    "sumset": _cmd_sumset,
-    "example1": _cmd_example1,
-    "theorem1": _cmd_theorem1,
-    "plunnecke": _cmd_plunnecke,
-    "kpn": _cmd_kpn,
-    "basis": _cmd_basis,
-    "sl2-info": _cmd_sl2_info,
-    "sl2-ruzsa": _cmd_sl2_ruzsa,
-    "sl2-gowers": _cmd_sl2_gowers,
-    "sl2-theorem4": _cmd_sl2_theorem4,
-    "sl2-remark12": _cmd_sl2_remark12,
-}
+            big_k = sl2.theorem4_bound(info.delta)
+            report.update(K=big_k, n_sets=3 * big_k)
+    return True, report
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -282,10 +242,10 @@ def run(argv: list[str] | None = None) -> int:
         if args.order_cap is not None:
             set_order_cap(args.order_cap)
         start = time.perf_counter()
-        passed, config, report = _DISPATCH[command](args)
+        passed, report = args.run(args)
         envelope = RunReport(
             command=command,
-            config=config,
+            config={k: getattr(args, k) for k in args.config},
             passed=passed,
             report=report,
             wall_time_s=round(time.perf_counter() - start, 6),

@@ -50,6 +50,14 @@ def check_order(order: int, what: str) -> None:
         raise _refuse(what, str(order))
 
 
+def check_doubling(p: int, level: int) -> None:
+    """Refuse ``Z_p^(2^level)`` without forming ``2 ** level``: its order is
+    at least ``2^(2^level)``, so it is above the cap once ``2^level`` passes
+    the cap's bit length.  Smaller levels are left to ``check_powers``."""
+    if level >= _order_cap.bit_length().bit_length():
+        raise _refuse(f"Z{p}^(2^{level}) (p = {p}, level {level})", f"at least 2^(2^{level})")
+
+
 def check_powers(terms: list[tuple[int, int]], what: str) -> None:
     """Refuse a product of powers ``d ** e`` above the cap without forming it:
     one exact running product stops as soon as it passes the cap, so at most

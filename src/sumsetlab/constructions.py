@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_doubling
 from .groups import GroupSpec, as_int, as_prime, at_least, vector_space_spec
 from .reports import Report
 from .setops import ElementMultiset, GroupSet, is_cover, m_fold, sumset
@@ -73,11 +74,17 @@ def _half_zero_mask(p: int, i: int) -> np.ndarray:
     return np.kron(zero, ~zero) | np.kron(~zero, zero)
 
 
+def _doubled_space(p: int, level: int) -> GroupSpec:
+    """``Z_p^(2^level)``, refused by the order cap before ``2 ** level`` is formed."""
+    check_doubling(p, level)
+    return vector_space_spec(p, 2**level)
+
+
 def example_C(p: int, i: int) -> GroupSet:
     """Block set C_i over ``Z_p^{2^i}``: nonzero vectors with exactly one
     all-zero half; cardinality ``2(p^{2^(i-1)} - 1)``."""
     p, i = at_least(p, 2, "p"), at_least(i, 1, "block level")
-    spec = vector_space_spec(p, 2**i)
+    spec = _doubled_space(p, i)
     _warn_p2(p)
     return GroupSet.from_mask(spec, _half_zero_mask(p, i))
 
@@ -90,7 +97,7 @@ def example_A(p: int, k: int, i: int) -> GroupSet:
         raise ValueError(f"family index must be in [0, {k}], got {i}")
     if i == 0:
         return _punctured_product(p, 0, k)
-    spec = vector_space_spec(p, 2**k)
+    spec = _doubled_space(p, k)
     _warn_p2(p)
     return GroupSet.from_mask(spec, _kron_doublings(_half_zero_mask(p, i), k - i))
 
@@ -216,7 +223,7 @@ def verify_example1(p: int, k: int) -> Example1Report:
 
 def _punctured_product(p: int, j: int, k: int) -> GroupSet:
     """``(Z_p^{2^j} \\ {0})^{2^(k-j)}`` embedded blockwise in ``Z_p^{2^k}``."""
-    spec = vector_space_spec(p, 2**k)
+    spec = _doubled_space(p, k)
     return GroupSet.from_mask(spec, _kron_doublings(~_zero(p, 2**j), k - j))
 
 
@@ -320,6 +327,21 @@ def enumerate_bases(p: int, n: int) -> list[tuple[tuple[int, ...], ...]] | None:
 # Random covering sets
 
 
+def check_size(spec: GroupSpec, size: int) -> int:
+    """``size`` as an int in ``[0, order]``, the sizes ``random_set`` draws."""
+    size = as_int(size, "size", spec)
+    if not 0 <= size <= spec.order:
+        raise ValueError(f"size {size} out of range [0, {spec.order}]")
+    return size
+
+
+def check_density(density: float, what: str) -> float:
+    """``density`` if it is in ``(0, 1]``; NaN is refused too."""
+    if not 0 < density <= 1:
+        raise ValueError(f"{what} must be in (0, 1], got {density}")
+    return density
+
+
 def random_set(spec: GroupSpec, size: int, rng: random.Random) -> GroupSet:
     """A uniformly random subset with exactly ``size`` elements, drawn from ``rng``.
 
@@ -335,9 +357,7 @@ def random_set(spec: GroupSpec, size: int, rng: random.Random) -> GroupSet:
     Any group with an ``order`` works; ``sl2.random_sl2_set`` builds
     through here too.
     """
-    size, order = as_int(size, "size", spec), spec.order
-    if not 0 <= size <= order:
-        raise ValueError(f"size {size} out of range [0, {order}]")
+    size, order = check_size(spec, size), spec.order
     while True:
         keys = bytearray(4)
         for lo in range(0, order, _KEY_CHUNK):
@@ -356,9 +376,7 @@ def random_cover_set(spec: GroupSpec, m: int, target_density: float, seed: int) 
     signals that the density is too low for the requested m on this group.
     """
     m = at_least(m, 1, "m")
-    if not 0.0 < target_density <= 1.0:
-        raise ValueError(f"target density must be in (0, 1], got {target_density}")
-    size = math.ceil(target_density * spec.order)
+    size = math.ceil(check_density(target_density, "target density") * spec.order)
     rng = random.Random(seed)
     for _ in range(_COVER_TRIES):
         a = random_set(spec, size, rng)

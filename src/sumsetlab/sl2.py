@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import check_order
-from .constructions import SearchBudgetError, random_set
+from .constructions import SearchBudgetError, check_density, check_size, random_set
 from .groups import as_int, as_prime, at_least
 from .reports import Report, map_trials
 from .setops import GroupSet, _prefix_chain, _same_spec, is_cover
@@ -566,9 +566,7 @@ def random_sl2_set(group: SL2Group, size: int, rng: random.Random) -> GroupSet:
 
 def sample_hypothesis_set(group: SL2Group, rng: random.Random, density: float = 0.25) -> GroupSet:
     """Rejection-sample a set with A * A^-1 = G at the target density."""
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    size = math.ceil(density * group.order)
+    size = math.ceil(check_density(density, "density") * group.order)
     for _ in range(_HYPOTHESIS_TRIES):
         cand = random_sl2_set(group, size, rng)
         if is_cover(product_set(cand, inverse_set(cand))):
@@ -593,6 +591,7 @@ def ruzsa_trials(p: int, trials: int, seed: int) -> list[RuzsaReport]:
 
 def gowers_trials(p: int, size: int, trials: int, seed: int) -> list[GowersReport]:
     g = sl2_group(p)
+    size = check_size(g, size)
 
     def one(rng: random.Random) -> GowersReport:
         sets = [random_sl2_set(g, size, rng) for _ in range(3)]
@@ -612,10 +611,15 @@ def theorem4_trials(
 
     ``sample_hypothesis_set`` returns a set only once A A^-1 covers G, so
     every hypothesis verdict is already known to hold and the chain does
-    not test it again.
+    not test it again.  The density is checked before any trial, and so is
+    the size of the family that each trial draws, 3K * |G| elements, against
+    the order cap; zero trials draw no family.
     """
     g = sl2_group(p)
     big_k = theorem4_bound(quasirandom_info(g.p).delta) if K is None else at_least(K, 1, "K")
+    check_density(density, "density")
+    if trials:
+        check_order(3 * big_k * g.order, f"a family of {3 * big_k} sets in SL2(Z_{g.p})")
 
     def one(rng: random.Random) -> Theorem4Report:
         sets = [sample_hypothesis_set(g, rng, density) for _ in range(3 * big_k)]
@@ -631,6 +635,7 @@ def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> R
     the report says so and runs nothing.
     """
     p, trials = _check_p(p), at_least(trials, 0, "trials")
+    check_density(density, "density")
     info = quasirandom_info(p)  # rejects p < 3
     if info.delta <= 0:
         raise ValueError(f"delta = 0 at p={p}: the bound is undefined")

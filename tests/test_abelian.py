@@ -415,3 +415,16 @@ def test_kpn_exact_p3_n2():
     assert rep.levels[0]["counterexample"] is not None
     assert rep.levels[1]["counterexample"] is not None
     assert rep.levels[2]["counterexample"] is None
+
+
+def test_growth_step_matches_the_powers():
+    """The chain's growth verdict is card^m >= n * prev^(m-1) exactly, and a
+    huge m is settled without forming the powers."""
+    for n in range(1, 24):
+        for card in range(1, n + 1):
+            for prev in range(1, card + 1):
+                for m in range(1, 16):
+                    expected = card**m >= n * prev ** (m - 1)
+                    assert abelian._growth_holds(n, prev, card, m) == expected
+    assert abelian._growth_holds(4096, 4094, 4095, 2**62)
+    assert not abelian._growth_holds(4096, 4095, 4095, 2**62)

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,6 +10,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumsetlab import cli
 from sumsetlab.config import order_cap, set_order_cap
@@ -160,6 +164,40 @@ print(codes, "numpy.random" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("sl2 gowers --p 5 --size 1000000000 --trials 0", "size 1000000000 out of range"),
+        ("theorem1 --group Z3^4 --m 2 --trials 0 --density 7", "target density must be in"),
+        ("sl2 theorem4 --p 7 --trials 0 --density -1", "density must be in (0, 1]"),
+        ("sl2 remark12 --p 5 --density 9", "density must be in (0, 1]"),
+        ("theorem1 --group Z3^4 --m 1000000000000000000 --trials 1", "above the cap"),
+        ("theorem1 --group Z3^4 --m 2 --K 100000000 --trials 1", "above the cap"),
+        ("sl2 theorem4 --p 5 --K 100000000 --trials 1", "above the cap"),
+        ("example1 --p 3 --k 4611686018427387904 --order-cap 4096", "above the cap"),
+        ("example1 --p 3 --k 67108864", "above the cap"),
+    ],
+)
+def test_refused_before_the_first_trial(command, message, capsys):
+    """A bad size or density is refused even when no trial runs, and a
+    family or a level past the order cap is refused before anything is
+    drawn or 2^k is formed."""
+    start = time.perf_counter()
+    assert cli.run(command.split()) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+def test_kpn_config_records_the_search_options(capsys):
+    argv = ["kpn", "--p", "3", "--n", "2", "--exact", "--budget", "5"]
+    _, a = run_json(capsys, argv + ["--seed", "1"])
+    _, b = run_json(capsys, argv + ["--seed", "2"])
+    assert a["config"] == {"p": 3, "n": 2, "exact": True, "k_max": 4, "budget": 5, "seed": 1}
+    assert b["config"]["seed"] == 2
 
 
 def test_kpn_budget_below_1_is_usage_error(capsys):
@@ -393,3 +431,70 @@ def test_load_set_forms_agree(tmp_path):
     p1.write_text(json.dumps(set_to_json(a, form="elements")))
     p2.write_text(json.dumps(set_to_json(a, form="bitmask")))
     assert cli.load_set(str(p1), spec) == cli.load_set(str(p2), spec)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing every subcommand in process
+
+
+def _leaves(parser, words=()):
+    """``(words, subparser)`` for every runnable subcommand of ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(list(words), parser)]
+    return [leaf for name, p in subs[0].choices.items() for leaf in _leaves(p, (*words, name))]
+
+
+_FIXED = ("help", "output", "order_cap")  # --order-cap 4096 and JSON output on every case
+_INTS = st.sampled_from([-1, 0, 1, 2, 3, 2**26, 2**62])
+_VALUES = {
+    "trials": st.sampled_from([0, 1, 2]),
+    "budget": st.sampled_from([-1, 0, 1, 10]),
+    "group": st.sampled_from(["Z1", "Z2", "Z3^2", "Z6xZ10", "Z2^26"]),
+    "a": st.sampled_from(["a.json", "missing.json"]),
+    "b": st.sampled_from(["a.json", "missing.json"]),
+}
+_DENSITIES = st.sampled_from([math.nan, math.inf, -1.0, 0.0, 0.25, 1.0])
+
+
+@st.composite
+def _argv(draw):
+    """A command line: required options always, the others now and then.
+    ``--trials`` and ``--budget`` scale the work by design, so they are
+    always given, from small values."""
+    words, parser = draw(st.sampled_from(_leaves(cli._build_parser())))
+    argv = [*words, "--order-cap", "4096"]
+    for action in parser._actions:
+        always = action.required or action.dest in ("trials", "budget")
+        if action.dest in _FIXED or not (always or draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[0])
+            continue
+        values = _VALUES.get(action.dest, _DENSITIES if action.type is float else _INTS)
+        argv += [action.option_strings[0], str(draw(values))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def set_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sets")
+    (path / "a.json").write_text(json.dumps({"elements": [[0, 0], [1, 2], [5, 9]]}))
+    return path
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=_argv())
+def test_fuzz_every_subcommand(argv, set_dir):
+    """Any command line exits 0, 1 or 2 within 2 s and without a traceback,
+    and exit 1 (a failed mathematical check) comes with ``"passed": false``."""
+    argv = [str(set_dir / w) if w.endswith(".json") else w for w in argv]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert time.perf_counter() - start < 2.0
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert json.loads(out.getvalue())["passed"] is False
