@@ -170,12 +170,49 @@ def _growth_holds(n: int, prev: int, card: int, m: int) -> bool:
     step (``prev <= card``).  When ``prev < card < n``, Bernoulli's
     inequality ``(card/prev)^t >= 1 + t(card - prev)/prev``, t = m - 1,
     proves the claim for every t at or above prev(n - card) / (card(card -
-    prev)), which is below n; so the powers are formed only for m <= n, and
-    a huge m costs nothing."""
+    prev)), which is below n.  Below that, the powers themselves are formed
+    while m is at most the bit length of n.  Above it, the claim, read as
+    (card/prev)^t >= n/card, is decided on integer brackets of both sides
+    (``_power_bracket``), doubling their precision until they separate.
+    They do, because the two sides differ: with card/prev = a/b in lowest
+    terms, equality card^m = n * prev^t makes a^m divide n, so 2^m <= n."""
     if card >= n or card == prev:
         return card >= n
     t = m - 1
-    return card * (prev + t * (card - prev)) >= n * prev or card**m >= n * prev**t
+    if card * (prev + t * (card - prev)) >= n * prev:
+        return True
+    if m <= n.bit_length():
+        return card**m >= n * prev**t
+    bits = 64
+    while True:
+        one = 1 << bits
+        target_floor, target_ceil = n * one // card, -(-n * one // card)
+        if _power_bracket(card * one // prev, t, bits, target_ceil, False) >= target_ceil:
+            return True
+        if _power_bracket(-(-card * one // prev), t, bits, target_floor, True) < target_floor:
+            return False
+        bits *= 2
+
+
+def _power_bracket(base: int, t: int, bits: int, cap: int, up: bool) -> int:
+    """A bound on 2^bits (base / 2^bits)^t for a base above 2^bits: binary
+    powering in fixed point with ``bits`` fraction bits, rounded down at
+    every step (a lower bound) or, with ``up``, up (an upper bound).  It
+    stops at the first partial power at or above ``cap``, which bounds a
+    power of at most t on the same side, so the numbers stay near the size
+    of ``cap``."""
+
+    def scaled(y: int) -> int:
+        return -(-y >> bits) if up else y >> bits
+
+    x = 1 << bits
+    for bit in bin(t)[2:]:
+        x = scaled(x * x)
+        if bit == "1":
+            x = scaled(x * base)
+        if x >= cap:
+            break
+    return x
 
 
 def _theorem1_chain(

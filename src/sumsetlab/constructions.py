@@ -352,20 +352,68 @@ def random_set(spec: GroupSpec, size: int, rng: random.Random) -> GroupSet:
     for every key would.  A draw with a tie at that boundary (probability
     below order / 2^32) is redrawn; the keys are exchangeable, so the
     accepted set is exactly uniform over the ``size``-subsets.  A zero key
-    in front of the others is the threshold when ``size`` is 0.  The cost
-    is a few numpy passes over the order, with no per-element Python work.
+    in front of the others is the threshold when ``size`` is 0.  One chunk
+    is selected whole, in a few numpy passes; more chunks go through
+    ``_nearest_keys``, which holds only the keys next to the boundary.
     Any group with an ``order`` works; ``sl2.random_sl2_set`` builds
     through here too.
     """
     size, order = check_size(spec, size), spec.order
     while True:
-        keys = bytearray(4)
-        for lo in range(0, order, _KEY_CHUNK):
-            keys += rng.randbytes(4 * min(_KEY_CHUNK, order - lo))
-        keys = np.frombuffer(keys, "<u4")
-        mask = keys[1:] <= np.partition(keys, size)[size]
-        if np.count_nonzero(mask) == size:
+        if order <= _KEY_CHUNK:
+            keys = np.frombuffer(bytes(4) + rng.randbytes(4 * order), "<u4")
+            mask = keys[1:] <= np.partition(keys, size)[size]
+            tie = np.count_nonzero(mask) != size
+        else:
+            mask, tie = _nearest_keys(rng, order, size)
+        if not tie:
             return GroupSet.from_mask(spec, mask)
+
+
+def _nearest_keys(rng: random.Random, order: int, size: int) -> tuple[np.ndarray, bool]:
+    """``random_set``'s draw over more than one chunk: the mask of the
+    ``size`` smallest keys, and whether the draw tied at the boundary.
+
+    Of the keys drawn so far, only the k + 1 nearest the boundary are kept,
+    k = min(size, order - size): the smallest when ``size`` is at most half
+    the order, otherwise the largest, complemented so that the nearest are
+    the smallest either way.  Each is packed with its index as
+    ``key << 32 | index``, so one partition orders the keys and carries
+    their indices.  A buffer with room for max(``_KEY_CHUNK``, k / 8) more
+    takes each chunk's keys below ``bar``, the (k+1)-th nearest at the last
+    cut, and is cut back to the k + 1 nearest when a chunk would overflow
+    it; the slack keeps the cuts few, so the time stays linear in the order.
+    Later chunks hold larger indices, so a key equal to ``bar`` cannot
+    enter.  A tie is a k-th nearest key equal to the (k+1)-th or, at size
+    0, a zero key, as in one chunk.  The slack is freed before the mask is
+    built, so with k at most half the order the peak is the mask, 8k bytes
+    and a few chunks.
+    """
+    if order > 1 << 32:
+        raise ValueError(f"random_set packs indices in 32 bits; order {order} is above 2^32")
+    low = 2 * size <= order
+    k = size if low else order - size
+    buf = np.empty(k + 1 + max(_KEY_CHUNK, k // 8), dtype=np.uint64)
+    fill, bar = 0, 1 << 32
+    for lo in range(0, order, _KEY_CHUNK):
+        keys = np.frombuffer(rng.randbytes(4 * min(_KEY_CHUNK, order - lo)), "<u4")
+        keys = keys if low else ~keys
+        near = np.flatnonzero(keys < bar)
+        if fill + len(near) > len(buf):
+            buf[:fill].partition(k)
+            fill, bar = k + 1, int(buf[k] >> 32)
+            near = near[keys[near] < bar]
+        packed = (keys[near].astype(np.uint64) << 32) | (near + lo).astype(np.uint64)
+        buf[fill : fill + len(packed)] = packed
+        fill += len(packed)
+    buf[:fill].partition(k)
+    edge = buf[k] >> 32
+    tie = bool(buf[:k].max() >> 32 == edge if k else low and edge == 0)
+    buf.resize(k, refcheck=False)  # no view of buf is left
+    buf &= 0xFFFFFFFF  # the indices, which read the same as int64
+    mask = np.full(order, not low)
+    mask[buf.view(np.int64)] = low
+    return mask, tie
 
 
 def random_cover_set(spec: GroupSpec, m: int, target_density: float, seed: int) -> GroupSet:

@@ -5,20 +5,21 @@ in lexicographic order.  Element indices have a closed form,
 (a * p + b) * p + t - p with t = c when a != 0 and t = d when a = 0, so
 indices, inverses and products map back to indices with no lookup table.
 Products go through the row action: row i of x*y is row i of x times y,
-so for a set Y a (p^2, |Y|) table of r*y over the rows r turns each
-product x*y into two row gathers and an add, giving the packed key
-row1 * p^2 + row2 with no per-product arithmetic mod p.  Product sets mark
-packed keys in a p^4 bool array, a few rows of X at a time, read members
-back by key, and stop once the product is all of G.  When |X| + |Y| > |G|
-the product is G by pigeonhole (X meets gY^-1 for every g) and no kernel
-pass runs.  Rows of the table are filled on demand: each chunk of X fills
-the rows its elements use that no earlier chunk filled, so a product that
-covers G after its first chunk computes only the rows that chunk used.
+so for a block of columns of Y the images r*y of the rows r that X uses
+turn each product x*y into two row gathers and an add, giving the packed
+key row1 * p^2 + row2 with no per-product arithmetic mod p.  Every x in X
+shares one such table per block, and a block holds a fixed number of
+products (``_CHUNK_CELLS``, or ``_COUNT_CELLS`` in the count), so the
+scratch memory of a call is bounded by the block, not by p^2 * |Y|.
+Product sets mark packed keys in a p^4 bool array, one block of Y at a
+time, read members back by key, and stop once the product is all of G.
+When |X| + |Y| > |G| the product is G by pigeonhole (X meets gY^-1 for
+every g) and no block runs.
 The Ruzsa representation count r(z) = |X ∩ zY^-1|, with X = AB^-1 and
-Y = BC^-1, runs the same kernel: the row action on the inverses of Y (or
-of its complement, whichever is smaller) gives the keys of z * y^-1 for
-each z in AC^-1, and a p^4-byte mask of X's keys turns each r(z) into a
-row sum.
+Y = BC^-1, runs the same blocks with the targets z in AC^-1 as the rows
+and the inverses of Y (or of its complement, whichever is smaller) as the
+columns: they give the keys of z * y^-1, and a p^4-byte mask of X's keys
+turns each r(z) into a sum of hits, added up block by block.
 Sets are ``GroupSet`` bitmasks over these element indices, the same set
 type the Abelian engine uses; the SL2 entry points refuse sets over any
 other group with a ``ValueError``.
@@ -45,7 +46,8 @@ from .groups import as_int, as_prime, at_least
 from .reports import Report, map_trials
 from .setops import GroupSet, _prefix_chain, _same_spec, is_cover
 
-_CHUNK_CELLS = 1 << 14
+_CHUNK_CELLS = 1 << 14  # product cells a block of Y keys in ``product_set``
+_COUNT_CELLS = 1 << 16  # the same in the Ruzsa count, which has no early exit
 _HYPOTHESIS_TRIES = 200  # draws before ``sample_hypothesis_set`` gives up
 
 
@@ -101,13 +103,11 @@ class SL2Group:
         t = np.where(row1 < p, row2 % p, row2 // p)
         return row1 * p + t - p
 
-    def _row_action(self, iy: np.ndarray) -> _RowAction:
-        """Products x * y for y in iy, as packed keys; see ``_RowAction``."""
-        return _RowAction(self, iy)
-
     def product_indices(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         """Index matrix of x*y for x in ix (rows) and y in iy (columns)."""
-        row1, row2 = np.divmod(self._row_action(iy).keys(ix), self.p**2)
+        blocks = [np.empty((len(ix), 0), dtype=self._key_dtype)]
+        blocks += _key_blocks(self, ix, iy, _CHUNK_CELLS)
+        row1, row2 = np.divmod(np.concatenate(blocks, axis=1), self.p**2)
         return self._indices(row1, row2)
 
     def mul(self, i: int, j: int) -> int:
@@ -143,79 +143,41 @@ class SL2Group:
         return f"SL2Group(p={self.p}, order={self.order})"
 
 
-class _RowAction:
-    """Packed keys of x * y for every y of a fixed right operand Y.
+def _key_blocks(g: SL2Group, ix: np.ndarray, iy: np.ndarray, cells: int) -> Iterator[np.ndarray]:
+    """Packed keys of x * y for every x in ix (rows), against a block of
+    w = max(1, cells // |ix|) columns of iy at a time.
 
-    Row (u, v) times y = (a, b, c, d) is (ua + vc, ub + vd) mod p.  The two
-    (p, |Y|) half-tables are columns of ``SL2Group._half``: ``u[u, j]``
-    packs (ua, ub) mod p in base 2p, and ``v[v, j]`` packs (vc, vd).  Both
-    sums are below 2p, so the image of row (u, v) is ``u[u] + v[v]`` and
-    one gather from ``_reduce``.  A filled row r sits at ``slot[r]`` of
-    ``lo`` (the row index of r * y_j) and ``hi`` (the same times p^2), so
-    the key of x * y_j is ``hi[slot[row1(x)], j] + lo[slot[row2(x)], j]``:
-    two row gathers and an add per product.  Rows are filled when a chunk
-    of X first uses them, so a product that covers G after its first chunk
-    computes only the rows that chunk used, and the table's untouched
-    memory is never written.
+    Row (u, v) times y = (a, b, c, d) is (ua + vc, ub + vd) mod p.  The
+    block's (p, w) half-tables are columns of ``SL2Group._half``: row u of
+    the first packs (ua, ub) mod p in base 2p, and row v of the second packs
+    (vc, vd).  Both sums are below 2p, so the images ``lo`` of the rows X
+    uses are two row gathers, an add and one gather from ``_reduce``, and
+    the key of x * y is ``hi[row1(x)] + lo[row2(x)]`` with ``hi = lo * p^2``.
+    X uses at most 2|X| rows; when that is below p^2, only the rows it uses
+    are imaged, through a slot table, and otherwise all p^2 rows are, with
+    no table.  Either way every x shares the block's images, so the images
+    cost at most min(p^2, 2|X|) cells per column of Y.
     """
-
-    __slots__ = ("g", "u", "v", "lo", "hi", "slot", "unfilled")
-
-    def __init__(self, g: SL2Group, iy: np.ndarray):
-        self.g = g
-        self.u = g._half[:, g._row1[iy]]
-        self.v = g._half[:, g._row2[iy]]
-        self.lo = self.hi = self.slot = None
-        self.unfilled = g.p**2 - 1  # row (0, 0) is a row of no matrix in G
-
-    def chunks(self, ix: np.ndarray) -> Iterator[np.ndarray]:
-        """Keys of x * y for x in ix, at most ``_CHUNK_CELLS`` cells a chunk."""
-        step = max(1, _CHUNK_CELLS // self.u.shape[1])
-        if len(ix) <= step:
-            self.fill()  # one chunk has no early exit to gain from
-        for lo in range(0, len(ix), step):
-            yield self.keys(ix[lo : lo + step])
-
-    def fill(self) -> None:
-        """Fill every row at once, without the bookkeeping of a lazy fill."""
-        if self.unfilled:
-            p = self.g.p
-            pairs = (self.u[:, None] + self.v[None, :]).reshape(p * p, -1)
-            self.lo = np.take(self.g._reduce, pairs)
-            self.hi = self.lo * (p * p)
-            self.slot = np.arange(p * p)
-            self.unfilled = 0
-
-    def keys(self, ix: np.ndarray) -> np.ndarray:
-        """Keys of x * y for x in ix (rows), filling the rows they use."""
-        r1 = self.g._row1[ix]
-        r2 = self.g._row2[ix]
-        if self.unfilled:
-            self._fill(np.concatenate((r1, r2)))
-        keys = self.hi[self.slot[r1]]
-        keys += self.lo[self.slot[r2]]
-        return keys
-
-    def _fill(self, rows: np.ndarray) -> None:
-        p = self.g.p
-        if self.slot is None:
-            self.lo = np.empty((p * p, self.u.shape[1]), dtype=self.u.dtype)
-            self.hi = np.empty_like(self.lo)
-            self.slot = np.full(p * p, -1)
-        rows = rows[self.slot[rows] < 0]
-        if len(rows) == 0:
-            return
-        rows = np.unique(rows)
-        start = p * p - 1 - self.unfilled
-        stop = start + len(rows)
-        self.slot[rows] = np.arange(start, stop)
-        self.unfilled -= len(rows)
-        pairs = self.u[rows // p]
-        pairs += self.v[rows % p]
-        # Every index is below len(_reduce); mode="wrap" only spares the
-        # copy that take makes of ``out`` under the default mode="raise".
-        lo = np.take(self.g._reduce, pairs, out=self.lo[start:stop], mode="wrap")
-        np.multiply(lo, p * p, out=self.hi[start:stop])
+    p = g.p
+    r1, r2 = g._row1[ix], g._row2[ix]
+    if 2 * len(ix) < p * p:
+        slot = np.zeros(p * p, dtype=np.intp)
+        slot[r1] = slot[r2] = 1
+        rows = np.flatnonzero(slot)
+        slot[rows] = np.arange(len(rows))
+        r1, r2 = slot[r1], slot[r2]
+    else:
+        rows = np.arange(p * p)
+    u, v = np.divmod(rows, p)
+    step = max(1, cells // max(1, len(ix)))
+    for start in range(0, len(iy), step):
+        cols = iy[start : start + step]
+        pairs = np.take(g._half[:, g._row1[cols]], u, axis=0)
+        pairs += np.take(g._half[:, g._row2[cols]], v, axis=0)
+        lo = np.take(g._reduce, pairs)
+        keys = np.take(lo * (p * p), r1, axis=0)
+        keys += np.take(lo, r2, axis=0)
+        yield keys
 
 
 @lru_cache(maxsize=32)
@@ -247,7 +209,9 @@ def _require_sl2(group) -> SL2Group:
 def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
     """{a*b : a in X, b in Y}; not commutative in general.
 
-    When ``|X| + |Y| > |G|`` the result is G with no kernel pass: by
+    The products are keyed one block of Y at a time against all of X, and
+    the loop stops after the first block that leaves the product equal to
+    G.  When ``|X| + |Y| > |G|`` the result is G with no block: by
     pigeonhole, X and gY^-1 meet for every g.
     """
     _same_spec(x.group, y.group)
@@ -257,7 +221,7 @@ def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
     if x.card + y.card > g.order:
         return GroupSet.full(g)  # pigeonhole: X meets gY^-1 for every g
     hit = np.zeros(g.p**4, dtype=bool)
-    for keys in g._row_action(y.index_array()).chunks(x.index_array()):
+    for keys in _key_blocks(g, x.index_array(), y.index_array(), _CHUNK_CELLS):
         hit[keys] = True
         out = hit[g._keys]
         if out.all():
@@ -354,10 +318,12 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet) -> RuzsaReport:
 def _min_representations(x: GroupSet, y: GroupSet, targets: GroupSet) -> int:
     """The least r(z) = |X ∩ zY^-1| over z in the nonempty ``targets``.
 
-    The enumerated side S is the smaller of Y and Y^c.  The row action on
-    S^-1 gives the packed keys of z * s^-1 for a few rows z of ``targets``
-    at a time, and a p^4-byte mask of X's keys turns each count into a row
-    sum, with no key-to-index lookup and no order-sized bins.
+    The enumerated side S is the smaller of Y and Y^c.  ``_key_blocks``
+    gives the packed keys of z * s^-1 for every z in ``targets`` against a
+    block of S^-1 at a time, and a p^4-byte mask of X's keys turns them
+    into hits.  The hits are added up column by column across the blocks,
+    and each count is one row sum at the end, with no key-to-index lookup
+    and no order-sized bins.
     """
     g = x.group
     complement = 2 * y.card > g.order
@@ -366,9 +332,14 @@ def _min_representations(x: GroupSet, y: GroupSet, targets: GroupSet) -> int:
         return x.card
     in_x = np.zeros(g.p**4, dtype=np.uint8)
     in_x[g._keys[x.index_array()]] = 1
-    act = g._row_action(g.inv[side.index_array()])
-    chunks = act.chunks(targets.index_array())
-    sums = np.concatenate([np.take(in_x, keys).sum(axis=1, dtype=np.int64) for keys in chunks])
+    counts = None  # counts[i, j]: the hits of target i in column j of every block
+    for keys in _key_blocks(g, targets.index_array(), g.inv[side.index_array()], _COUNT_CELLS):
+        hits = np.take(in_x, keys)
+        if counts is None:
+            counts = hits.astype(g._key_dtype)  # below |S| < p^4, so they fit
+        else:
+            counts[:, : hits.shape[1]] += hits
+    sums = counts.sum(axis=1)
     return x.card - int(sums.max()) if complement else int(sums.min())
 
 

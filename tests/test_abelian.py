@@ -1,6 +1,8 @@
+import decimal
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -428,3 +430,50 @@ def test_growth_step_matches_the_powers():
                     assert abelian._growth_holds(n, prev, card, m) == expected
     assert abelian._growth_holds(4096, 4094, 4095, 2**62)
     assert not abelian._growth_holds(4096, 4095, 4095, 2**62)
+
+
+def test_growth_step_brackets_match_the_powers():
+    """Above the bit length of n, where Bernoulli's bound falls short, the
+    verdict comes from brackets; on a seeded sample of steps with n <= 300
+    and m <= 40 it is the powers' verdict."""
+    rng = random.Random(1)
+    for n in range(2, 301):
+        for _ in range(30):
+            prev = rng.randrange(1, n)
+            card = rng.randrange(prev, n + 1)
+            for m in range(1, 41):
+                expected = card**m >= n * prev ** (m - 1)
+                assert abelian._growth_holds(n, prev, card, m) == expected
+
+
+def test_growth_step_near_tie_is_fast():
+    """A near-tie step that Bernoulli's bound leaves open is decided without
+    forming powers of 2^18 or 2^24 factors."""
+    for m in (2**18, 2**24):
+        start = time.perf_counter()
+        assert not abelian._growth_holds(2**26, 2**25, 2**25 + 1, m)
+        assert time.perf_counter() - start < 0.01
+
+
+def test_growth_step_doubles_the_bracket_precision():
+    """With prev = 2^40, card = prev + 1 and t = 2^40, the 64-bit brackets
+    are too wide to separate (card/prev)^t from n/card, so the precision is
+    doubled; n on either side of card (card/prev)^t, taken from an 80-digit
+    Decimal, gives each verdict."""
+    prev, t = 2**40, 2**40
+    card = prev + 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        n = int(decimal.Decimal(card) * (decimal.Decimal(card) / prev) ** t)
+    widths = []
+    bracket = abelian._power_bracket
+
+    def recorded(base, t, bits, cap, up):
+        widths.append(bits)
+        return bracket(base, t, bits, cap, up)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abelian, "_power_bracket", recorded)
+        assert abelian._growth_holds(n, prev, card, t + 1)
+        assert not abelian._growth_holds(n + 1, prev, card, t + 1)
+    assert max(widths) > 64

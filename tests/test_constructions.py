@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -311,17 +312,72 @@ def test_random_set_deterministic_per_seed(group):
     assert len(thirds) == 3
 
 
+class _CoarseRandom:
+    """A generator whose 32-bit keys take only eight values, so that draws
+    tie at the boundary often; it serves keys in order, whatever the
+    lengths of the ``randbytes`` calls."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def randbytes(self, n):
+        return _keys(*(self.rng.randrange(8) << 29 for _ in range(n // 4)))
+
+
+def _chunk_sizes(order):
+    return sorted({0, 1, 2, order // 3, order // 2, (order + 1) // 2, order - 2, order - 1, order})
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_random_set_chunked_draw_matches_one_draw(chunk, monkeypatch):
     """Keys drawn ``chunk`` at a time give the same set, and leave the
-    generator in the same state, as one ``randbytes`` call for every key."""
-    cases = [(GroupSpec((order,)), order // 3) for order in range(2, 65)]
+    generator in the same state, as one ``randbytes`` call for every key:
+    on either side of half the order, where the draw keeps the smallest or
+    the largest keys, and at the extremes."""
+    cases = [(GroupSpec((order,)), size) for order in range(2, 65) for size in _chunk_sizes(order)]
     whole = [random.Random(spec.order) for spec, _ in cases]
     expected = [random_set(spec, size, rng) for (spec, size), rng in zip(cases, whole)]
     monkeypatch.setattr(constructions, "_KEY_CHUNK", chunk)
     parts = [random.Random(spec.order) for spec, _ in cases]
     assert [random_set(spec, size, rng) for (spec, size), rng in zip(cases, parts)] == expected
     assert [rng.getstate() for rng in parts] == [rng.getstate() for rng in whole]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_random_set_chunked_draw_redraws_ties_like_one_draw(chunk, monkeypatch):
+    """With keys that tie often, drawing in chunks redraws exactly the draws
+    that one call for every key redraws, and accepts the same sets."""
+    cases = [(GroupSpec((order,)), size) for order in range(2, 24) for size in _chunk_sizes(order)]
+    whole = [_CoarseRandom(i) for i in range(len(cases))]
+    expected = [random_set(spec, size, rng) for (spec, size), rng in zip(cases, whole)]
+    monkeypatch.setattr(constructions, "_KEY_CHUNK", chunk)
+    parts = [_CoarseRandom(i) for i in range(len(cases))]
+    assert [random_set(spec, size, rng) for (spec, size), rng in zip(cases, parts)] == expected
+    assert [rng.rng.getstate() for rng in parts] == [rng.rng.getstate() for rng in whole]
+
+
+@pytest.mark.parametrize("size", [10, (1 << 25) + 1])
+def test_random_set_memory_bounded_at_order_2_26(size):
+    """At order 2^26 (64 chunks) the traced peak stays under the bool mask
+    of the order, plus 8 bytes for each of the min(size, order - size) keys
+    kept next to the boundary, plus a fixed 32 bytes a chunk key."""
+    spec = GroupSpec((1 << 26,))
+    tracemalloc.start()
+    try:
+        a = random_set(spec, size, random.Random(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.card == size
+    assert peak < spec.order + 8 * min(size, spec.order - size) + 32 * constructions._KEY_CHUNK
+
+
+def test_random_set_refuses_orders_above_2_32():
+    class Huge:
+        order = (1 << 32) + 1
+
+    with pytest.raises(ValueError, match="above 2\\^32"):
+        random_set(Huge(), 1, random.Random(0))
 
 
 @pytest.mark.parametrize("size", [2, 3])

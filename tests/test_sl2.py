@@ -231,8 +231,8 @@ def _operand(g, data, max_random):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_product_set_differential(p, max_random, data):
-    """Product sets at p=5 and p=17 against the naive oracle, with chunks
-    of a few rows so that the chunk loop and its early exit run."""
+    """Product sets at p=5 and p=17 against the naive oracle, with blocks
+    of a few columns so that the block loop and its early exit run."""
     g = sl2_group(p)
     x = _operand(g, data, max_random)
     y = _operand(g, data, max_random)
@@ -267,22 +267,31 @@ def test_product_set_pigeonhole_equality_not_forced():
     assert product_set(h, h) == h
 
 
+def _count_blocks(monkeypatch):
+    """Record the (rows, columns) shape of every block of keys that
+    ``_key_blocks`` yields, and the number of kernel runs (calls)."""
+    blocks, runs = [], []
+    key_blocks = sl2._key_blocks
+
+    def counted(g, ix, iy, cells):
+        runs.append(cells)
+        for keys in key_blocks(g, ix, iy, cells):
+            blocks.append(keys.shape)
+            yield keys
+
+    monkeypatch.setattr(sl2, "_key_blocks", counted)
+    return blocks, runs
+
+
 def test_product_set_pigeonhole_skips_kernel(monkeypatch):
     g = sl2_group(7)
-    calls = []
-    row_action = SL2Group._row_action
-
-    def counted(self, iy):
-        calls.append(len(iy))
-        return row_action(self, iy)
-
-    monkeypatch.setattr(SL2Group, "_row_action", counted)
+    blocks, _ = _count_blocks(monkeypatch)
     x = _sized_sl2_set(g, 168, 1)
     assert product_set(x, _sized_sl2_set(g, 169, 2)) == SL2Set.full(g)
     assert product_set(_sized_sl2_set(g, 1, 3), SL2Set.full(g)) == SL2Set.full(g)
-    assert calls == []
+    assert blocks == []
     product_set(x, _sized_sl2_set(g, 168, 2))
-    assert calls
+    assert blocks
 
 
 def test_pigeonhole_lemma_sl2_exhaustive():
@@ -301,29 +310,16 @@ def test_pigeonhole_lemma_sl2_exhaustive():
     assert pairs == (4**n - math.comb(2 * n, n)) // 2
 
 
-def _count_chunk_rows(monkeypatch):
-    """Record the number of rows of X in each chunk that product_set keys."""
-    rows = []
-    chunks = sl2._RowAction.chunks
-
-    def counted(self, ix):
-        for keys in chunks(self, ix):
-            rows.append(len(keys))
-            yield keys
-
-    monkeypatch.setattr(sl2._RowAction, "chunks", counted)
-    return rows
-
-
 def test_product_set_no_table_exits_when_full(monkeypatch):
     g = sl2_group(17)
     rng = random.Random(10)
     x = SL2Set.from_indices(g, rng.sample(range(g.order), 600))
     y = SL2Set.from_indices(g, rng.sample(range(g.order), 600))
-    monkeypatch.setattr(sl2, "_CHUNK_CELLS", 600 * 10)  # 10 rows a chunk
-    chunks = _count_chunk_rows(monkeypatch)
+    monkeypatch.setattr(sl2, "_CHUNK_CELLS", 600 * 10)  # 10 columns a block
+    blocks, _ = _count_blocks(monkeypatch)
     assert is_cover(product_set(x, y))
-    assert 1 < len(chunks) < 60
+    assert set(blocks) == {(600, 10)}
+    assert 1 < len(blocks) < 60
 
 
 def test_product_set_exits_early_at_default_chunk(monkeypatch):
@@ -331,28 +327,81 @@ def test_product_set_exits_early_at_default_chunk(monkeypatch):
     rng = random.Random(12)
     x = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
     y = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
-    rows = _count_chunk_rows(monkeypatch)
+    blocks, _ = _count_blocks(monkeypatch)
     assert is_cover(product_set(x, y))
-    assert sum(rows) < 375  # a quarter of X: the loop stops once XY = G
+    keyed = sum(rows * cols for rows, cols in blocks)
+    assert keyed < 1500 * 1500 / 4  # the loop stops once XY = G
 
 
 def test_covering_product_fills_few_rows(monkeypatch):
-    """A covering product fills the row images only of rows its chunks used."""
+    """A covering product images rows only for the blocks of Y it keys.
+    X uses every row here (2|X| >= p^2), so each block images all p^2 rows
+    for each of its columns."""
     g = sl2_group(17)
     rng = random.Random(12)
     x = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
     y = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
-    actions = []
-    row_action = SL2Group._row_action
-
-    def kept(self, iy):
-        actions.append(row_action(self, iy))
-        return actions[-1]
-
-    monkeypatch.setattr(SL2Group, "_row_action", kept)
+    blocks, _ = _count_blocks(monkeypatch)
     assert is_cover(product_set(x, y))
-    (act,) = actions
-    assert g.p**2 - 1 - act.unfilled < g.p**2 / 2
+    assert 2 * x.card >= g.p**2
+    filled = g.p**2 * sum(cols for _, cols in blocks)
+    assert filled < g.p**2 * y.card / 4
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("compact", [True, False], ids=["rows_of_x", "every_row"])
+def test_product_indices_both_sides_of_compaction(p, compact, monkeypatch):
+    """Products match the matrix products whether only the rows X uses are
+    imaged (2|X| < p^2) or all p^2 rows are, over several blocks of Y."""
+    g = sl2_group(p)
+    n = (p * p - 1) // 2 if compact else (p * p + 1) // 2
+    assert (2 * n < p * p) == compact
+    rng = random.Random(p)
+    ix = np.array(rng.sample(range(g.order), n))
+    iy = np.array(rng.sample(range(g.order), 25))
+    monkeypatch.setattr(sl2, "_CHUNK_CELLS", 7 * n)  # blocks of 7 columns
+    els = g.elements
+    got = [[els[k] for k in row] for row in g.product_indices(ix, iy).tolist()]
+    assert got == [[naive_sl2_mul(p, els[i], els[j]) for j in iy] for i in ix]
+    x, y = SL2Set.from_indices(g, ix.tolist()), SL2Set.from_indices(g, iy.tolist())
+    assert frozenset(product_set(x, y).coords()) == naive_sl2_product_set(p, x.coords(), y.coords())
+
+
+@pytest.mark.parametrize("nx,ny", [(0, 5), (5, 0), (0, 0)])
+def test_product_indices_empty_operands(nx, ny):
+    g = sl2_group(7)
+    got = g.product_indices(np.arange(nx), np.arange(ny))
+    assert got.shape == (nx, ny)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_product_and_count_memory_bounded_by_the_block():
+    """Scratch memory is bounded by the block, not by p^2 * |Y|: the peak
+    stays under the p^4 mark array, plus 32 bytes a block cell, plus 16
+    bytes a group element."""
+    g = sl2_group(17)
+    rng = random.Random(12)
+    x, y = (SL2Set.from_indices(g, rng.sample(range(g.order), 1500)) for _ in range(2))
+    out, peak = _peak_bytes(lambda: product_set(x, y))
+    assert is_cover(out)
+    assert peak < g.p**4 + 32 * sl2._CHUNK_CELLS + 16 * g.order
+
+    g = sl2_group(47)
+    rng = random.Random(0)
+    a, b, c = (SL2Set.from_indices(g, rng.sample(range(g.order), 45)) for _ in range(3))
+    r, peak = _peak_bytes(lambda: check_ruzsa(a, b, c))
+    assert r.count_checked and r.card_ab_inv * r.card_bc_inv > 3_000_000
+    cells = max(sl2._CHUNK_CELLS, sl2._COUNT_CELLS)
+    assert peak < g.p**4 + 32 * cells + 16 * g.order
 
 
 def test_product_set_not_commutative():
@@ -412,13 +461,6 @@ def test_ruzsa_representation_count_without_table(chunk_cells, monkeypatch):
     g = sl2_group(17)
     rng = random.Random(11)
     a, b, c = (SL2Set.from_indices(g, rng.sample(range(g.order), 12)) for _ in range(3))
-    actions = []
-    row_action = SL2Group._row_action
-
-    def counted(self, iy):
-        actions.append(len(iy))
-        return row_action(self, iy)
-
     inverses = []
     inverse = sl2.inverse_set
 
@@ -427,10 +469,11 @@ def test_ruzsa_representation_count_without_table(chunk_cells, monkeypatch):
         return inverse(s)
 
     monkeypatch.setattr(sl2, "_CHUNK_CELLS", chunk_cells)
-    monkeypatch.setattr(SL2Group, "_row_action", counted)
+    monkeypatch.setattr(sl2, "_COUNT_CELLS", chunk_cells)
+    _, runs = _count_blocks(monkeypatch)
     monkeypatch.setattr(sl2, "inverse_set", counted_inverse)
     r = check_ruzsa(a, b, c)
-    assert len(actions) == 4  # AC^-1, AB^-1, BC^-1, then once for the count
+    assert len(runs) == 4  # AC^-1, AB^-1, BC^-1, then once for the count
     assert inverses == [c, b]  # C^-1 is built once for AC^-1 and BC^-1
 
     def inv(s):
@@ -480,8 +523,12 @@ def test_min_representations_matches_naive(p, x_side, y_side, data):
     x = data.draw(_sl2_subset(g, x_side), label="X")
     y = data.draw(_sl2_subset(g, y_side), label="Y")
     targets = data.draw(_sl2_subset(g, data.draw(st.sampled_from(list(_SIDES)))), label="Z")
+    cells = data.draw(st.sampled_from([1, 64, sl2._COUNT_CELLS]), label="block cells")
     reps = naive_sl2_representations(p, x.coords(), y.coords())
-    assert sl2._min_representations(x, y, targets) == min(reps[z] for z in targets.coords())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sl2, "_COUNT_CELLS", cells)
+        got = sl2._min_representations(x, y, targets)
+    assert got == min(reps[z] for z in targets.coords())
 
 
 def test_ruzsa_representation_count_complement_branch_p11():
