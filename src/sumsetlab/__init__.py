@@ -2,10 +2,6 @@
 with mechanical verification of covering bounds at desk scale."""
 
 from .abelian import (
-    KpnSearchReport,
-    KpnUpper,
-    PlunneckeReport,
-    Theorem1Report,
     check_plunnecke,
     is_additive_basis,
     kpn_exact_small,
@@ -20,7 +16,6 @@ from .abelian import (
 from .config import DEFAULT_ORDER_CAP, OrderCapError, order_cap, set_order_cap
 from .constructions import (
     BasisMatrix,
-    Example1Report,
     SearchBudgetError,
     enumerate_bases,
     example1_family,
@@ -46,13 +41,8 @@ from .setops import (
     translate,
 )
 from .sl2 import (
-    GowersReport,
-    QuasirandomInfo,
-    Remark12Report,
-    RuzsaReport,
     SL2Group,
     SL2Set,
-    Theorem4Report,
     check_gowers,
     check_ruzsa,
     gowers_trials,

@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .config import check_order
 from .constructions import (
+    _WITNESS_LIMIT,
     check_density,
     enumerate_bases,
     random_basis_matrix,
@@ -51,22 +51,7 @@ _PLUNNECKE_KS = (2, 3, 4)  # the k that ``plunnecke_trials`` draws from
 # Plunnecke-Ruzsa
 
 
-@dataclass
-class PlunneckeReport(Report):
-    """One instance of |A+B| <= alpha*|B|  =>  |kA| <= alpha^k * |B|."""
-
-    group: str
-    k: int
-    card_a: int
-    card_b: int
-    card_sum: int
-    alpha: float
-    lhs: int
-    rhs: float
-    passed: bool
-
-
-def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> PlunneckeReport:
+def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> Report:
     """Measure alpha = |A+B|/|B| and verify |kA| <= alpha^k |B|.
 
     The verdict is the integer form |kA| * |B|^(k-1) <= |A+B|^k; ``alpha``
@@ -81,7 +66,7 @@ def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> PlunneckeReport:
     alpha = s.card / b.card
     lhs = m_fold(a, k).card
     rhs = alpha**k * b.card
-    return PlunneckeReport(
+    return Report(
         group=str(a.group),
         k=k,
         card_a=a.card,
@@ -94,10 +79,10 @@ def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> PlunneckeReport:
     )
 
 
-def plunnecke_trials(spec: GroupSpec, trials: int, seed: int) -> list[PlunneckeReport]:
+def plunnecke_trials(spec: GroupSpec, trials: int, seed: int) -> list[Report]:
     """Seeded random nonempty (A, B, k) instances; per-trial seed is seed+i."""
 
-    def one(rng: random.Random) -> PlunneckeReport:
+    def one(rng: random.Random) -> Report:
         n = spec.order
         a = random_set(spec, rng.randint(1, n), rng)
         b = random_set(spec, rng.randint(1, n), rng)
@@ -128,30 +113,7 @@ def theorem1_bound(m: int, order: int) -> int:
     return max(1, math.ceil(theorem1_bound_raw(m, order)))
 
 
-@dataclass
-class Theorem1Report(Report):
-    """End-to-end check that 2K sets with m-fold sumset G sum to G."""
-
-    group: str
-    m: int
-    K: int
-    lam: float
-    required_K: int | None
-    meets_required_K: bool | None
-    family_cards: list[int]
-    hypothesis_ok: list[bool]
-    halves: list[dict]
-    chain_ok: bool
-    halves_exceed_half: list[bool]
-    final_card: int
-    final_cover: bool
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {("lambda" if k == "lam" else k): v for k, v in super().to_dict().items()}
-
-
-def verify_theorem1(family: Sequence[GroupSet], m: int) -> Theorem1Report:
+def verify_theorem1(family: Sequence[GroupSet], m: int) -> Report:
     """Check the full covering chain for a family of 2K sets.
 
     Per set: the hypothesis ``m_fold(A_i, m) = G``.  Per half of the family:
@@ -217,7 +179,7 @@ def _power_bracket(base: int, t: int, bits: int, cap: int, up: bool) -> int:
 
 def _theorem1_chain(
     family: Sequence[GroupSet], m: int, hypothesis_ok: list[bool] | None
-) -> Theorem1Report:
+) -> Report:
     """``verify_theorem1``, taking the hypothesis verdicts when the caller
     already knows them (a trial runner whose sampler accepted each set
     only once its m-fold sumset covered G); ``None`` tests every set."""
@@ -243,11 +205,11 @@ def _theorem1_chain(
         required = theorem1_bound(m, n)
     except ValueError:
         required = None
-    return Theorem1Report(
+    return Report(
         group=str(spec),
         m=m,
         K=big_k,
-        lam=((m - 1) / m) ** big_k,
+        **{"lambda": ((m - 1) / m) ** big_k},  # a Python keyword, so passed in a dict
         required_K=required,
         meets_required_K=None if required is None else big_k >= required,
         family_cards=[a.card for a in family],
@@ -268,7 +230,7 @@ def theorem1_trials(
     seed: int,
     K: int | None = None,
     density: float = 0.5,
-) -> list[Theorem1Report]:
+) -> list[Report]:
     """Run verify_theorem1 on families of 2K rejection-sampled cover sets.
 
     ``random_cover_set`` returns a set only once its m-fold sumset covers
@@ -283,7 +245,7 @@ def theorem1_trials(
     if trials:
         check_order(2 * big_k * spec.order, f"a family of {2 * big_k} sets in {spec}")
 
-    def one(rng: random.Random) -> Theorem1Report:
+    def one(rng: random.Random) -> Report:
         sets = [
             random_cover_set(spec, m, density, seed=rng.getrandbits(62))
             for _ in range(2 * big_k)
@@ -349,44 +311,19 @@ def pigeonhole_exhaustive(order: int) -> dict:
 # Bases-union constant: explicit upper bounds and tiny exact values
 
 
-@dataclass
-class KpnUpper(Report):
-    """Closed-form upper bounds for the bases-union covering constant."""
-
-    p: int
-    n: int
-    general: float
-    for_p3: float | None
-
-
-def kpn_upper(p: int, n: int) -> KpnUpper:
-    """Evaluate ``2(p-1) ln n + 2(p-1) ln log2 p`` and, for p = 3, the
-    sharper ``2 log2 n + 2``."""
+def kpn_upper(p: int, n: int) -> Report:
+    """Closed-form upper bounds for the bases-union covering constant:
+    ``2(p-1) ln n + 2(p-1) ln log2 p`` and, for p = 3, the sharper
+    ``2 log2 n + 2``."""
     p, n = as_prime(p), at_least(n, 2, "n")
     general = 2 * (p - 1) * math.log(n) + 2 * (p - 1) * math.log(math.log2(p))
     for_p3 = 2 * math.log2(n) + 2 if p == 3 else None
-    return KpnUpper(p=p, n=n, general=general, for_p3=for_p3)
+    return Report(p=p, n=n, general=general, for_p3=for_p3)
 
 
 def is_additive_basis(b: ElementMultiset) -> bool:
     """True iff the subset-sum closure of B covers the group."""
     return is_cover(subset_sums(b))
-
-
-@dataclass
-class KpnSearchReport(Report):
-    """Search for the least k such that every union of k bases is additive."""
-
-    p: int
-    n: int
-    k_max: int
-    budget: int
-    levels: list[dict]
-    result_k: int | None
-    exact: bool
-
-
-_CLOSURE_WITNESS_LIMIT = 64
 
 
 def _union_closure(spec: GroupSpec, bases: Sequence[Sequence[Sequence[int]]]) -> GroupSet:
@@ -404,7 +341,7 @@ def _counterexample_record(bases, closure: GroupSet) -> dict:
         "bases": [[list(row) for row in basis] for basis in bases],
         "closure_card": closure.card,
     }
-    if closure.card <= _CLOSURE_WITNESS_LIMIT:
+    if closure.card <= _WITNESS_LIMIT:
         rec["closure"] = [list(c) for c in closure.coords()]
     return rec
 
@@ -415,7 +352,7 @@ def kpn_exact_small(
     k_max: int = 4,
     budget: int = 10_000,
     seed: int = 0,
-) -> KpnSearchReport:
+) -> Report:
     """For k = 1..k_max, hunt for a union of k bases that is NOT an additive
     basis; report the least k with no counterexample.
 
@@ -461,7 +398,7 @@ def kpn_exact_small(
             result_k = k
             exact = exhaustive
             break
-    return KpnSearchReport(
+    return Report(
         p=p,
         n=n,
         k_max=k_max,

@@ -28,7 +28,7 @@ from typing import Any
 from . import abelian, constructions, sl2
 from .config import order_cap, set_order_cap
 from .groups import parse_group_spec
-from .reports import RunReport, render
+from .reports import Report, render
 from .setops import set_from_json, set_to_json, subset_sums, sumset
 from .sl2 import sl2_group
 
@@ -243,7 +243,7 @@ def run(argv: list[str] | None = None) -> int:
             set_order_cap(args.order_cap)
         start = time.perf_counter()
         passed, report = args.run(args)
-        envelope = RunReport(
+        envelope = Report(
             command=command,
             config={k: getattr(args, k) for k in args.config},
             passed=passed,

@@ -20,7 +20,7 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +38,8 @@ _BASES_CAP = 200_000
 # Keys per ``randbytes`` call in ``random_set``: one call for 2^26 keys
 # would ask ``getrandbits`` for 2^31 bits, more than a C int holds.
 _KEY_CHUNK = 1 << 20
+# A report lists a set's elements only when it has at most this many.
+_WITNESS_LIMIT = 64
 
 
 class SearchBudgetError(RuntimeError):
@@ -119,32 +121,7 @@ def example1_family(p: int, k: int) -> Example1Family:
     return Example1Family(p, k, 2**k, sets[0].group, sets)
 
 
-@dataclass
-class Example1Report(Report):
-    """All property checks for one half-zero family instance."""
-
-    p: int
-    k: int
-    n: int
-    order: int
-    p2_degenerate: bool
-    cards: list[int] = field(default_factory=list)
-    expected_cards: list[int] = field(default_factory=list)
-    cards_ok: bool = True
-    block_checks: list[dict] = field(default_factory=list)
-    self_sum_checks: list[dict] = field(default_factory=list)
-    chain: list[dict] = field(default_factory=list)
-    chain_ok: bool = True
-    final_card: int = 0
-    final_misses_group: bool = False
-    passed: bool = False
-    notes: list[str] = field(default_factory=list)
-
-
-_WITNESS_LIMIT = 64
-
-
-def verify_example1(p: int, k: int) -> Example1Report:
+def verify_example1(p: int, k: int) -> Report:
     """Materialize the family and check every claimed identity at desk scale.
 
     Checked per instance: the cardinality formulas, ``C_i + C_i`` covering
@@ -161,19 +138,20 @@ def verify_example1(p: int, k: int) -> Example1Report:
         blocks = [example_C(p, i) for i in range(1, k + 1)]
     spec = fam.spec
     n = fam.n
-    report = Example1Report(p=p, k=k, n=n, order=spec.order, p2_degenerate=(p == 2))
+    notes = []
     if p == 2:
-        report.notes.append(
+        notes.append(
             "p=2 is degenerate: C_1 + C_1 = {00, 11} misses Z_2^2, so the"
             " doubling and chain identities fail as stated"
         )
 
-    report.expected_cards = [(p - 1) ** n] + [
+    expected_cards = [(p - 1) ** n] + [
         (2 * (p ** (2 ** (i - 1)) - 1)) ** (2 ** (k - i)) for i in range(1, k + 1)
     ]
-    report.cards = [a.card for a in fam.sets]
-    report.cards_ok = report.cards == report.expected_cards
+    cards = [a.card for a in fam.sets]
+    cards_ok = cards == expected_cards
 
+    block_checks = []
     for i, c in enumerate(blocks, 1):
         csum = sumset(c, c)
         entry = {
@@ -185,40 +163,57 @@ def verify_example1(p: int, k: int) -> Example1Report:
         }
         if not entry["self_sum_covers"] and csum.card <= _WITNESS_LIMIT:
             entry["self_sum_witness"] = [list(cc) for cc in csum.coords()]
-        report.block_checks.append(entry)
+        block_checks.append(entry)
 
+    self_sum_checks = []
     for i in range(1, k + 1):
         asum = sumset(fam.sets[i], fam.sets[i])
-        report.self_sum_checks.append(
+        self_sum_checks.append(
             {"i": i, "self_sum_card": asum.card, "self_sum_covers": is_cover(asum)}
         )
 
+    chain = []
     prefix = fam.sets[0]
     for j in range(k + 1):
         if j > 0:
             prefix = sumset(prefix, fam.sets[j])
         expected_card = (p ** (2**j) - 1) ** (2 ** (k - j))
         expected_set = _punctured_product(p, j, k)
-        entry = {
-            "j": j,
-            "card": prefix.card,
-            "expected_card": expected_card,
-            "card_ok": prefix.card == expected_card,
-            "set_ok": prefix.bits == expected_set.bits,
-        }
-        report.chain.append(entry)
-    report.chain_ok = all(e["card_ok"] and e["set_ok"] for e in report.chain)
-    report.final_card = prefix.card
-    report.final_misses_group = prefix.card != spec.order
-
-    report.passed = (
-        report.cards_ok
-        and all(e["self_sum_covers"] for e in report.block_checks)
-        and all(e["self_sum_covers"] for e in report.self_sum_checks)
-        and report.chain_ok
-        and report.final_misses_group
+        chain.append(
+            {
+                "j": j,
+                "card": prefix.card,
+                "expected_card": expected_card,
+                "card_ok": prefix.card == expected_card,
+                "set_ok": prefix.bits == expected_set.bits,
+            }
+        )
+    chain_ok = all(e["card_ok"] and e["set_ok"] for e in chain)
+    final_misses_group = prefix.card != spec.order
+    return Report(
+        p=p,
+        k=k,
+        n=n,
+        order=spec.order,
+        p2_degenerate=p == 2,
+        cards=cards,
+        expected_cards=expected_cards,
+        cards_ok=cards_ok,
+        block_checks=block_checks,
+        self_sum_checks=self_sum_checks,
+        chain=chain,
+        chain_ok=chain_ok,
+        final_card=prefix.card,
+        final_misses_group=final_misses_group,
+        passed=(
+            cards_ok
+            and all(e["self_sum_covers"] for e in block_checks)
+            and all(e["self_sum_covers"] for e in self_sum_checks)
+            and chain_ok
+            and final_misses_group
+        ),
+        notes=notes,
     )
-    return report
 
 
 def _punctured_product(p: int, j: int, k: int) -> GroupSet:

@@ -1,10 +1,17 @@
-"""Run envelopes and output formatting shared by the command line tools.
+"""The report record, run envelopes and output formatting shared by the
+command line tools.
 
-A run produces one envelope: the command name, the effective config, a
-pass flag, and the structured report (a dict, or a list of per-trial
-dicts).  JSON output is byte-stable for a fixed seed and config except for
-the single wall_time_s field, which is therefore kept at the top level so
-consumers can strip it before comparing runs.
+Every checker returns one ``Report``: a namespace built by one keyword
+call, whose keyword order is the key order of its dict and of the JSON.
+A report has no schema beside that call; its fields are read as
+attributes (``r.passed``) and written out through ``to_dict``.
+
+A run produces one envelope, itself a ``Report``: the command name, the
+effective config, a pass flag, the structured report (a dict, or a list
+of per-trial dicts) and the wall time.  JSON output is byte-stable for a
+fixed seed and config except for the single wall_time_s field, which is
+therefore kept at the top level so consumers can strip it before
+comparing runs.
 
 Trial runners hand ``map_trials`` a function of one ``random.Random``;
 trial i gets ``Random(seed + i)``, and trials run serially in index order.
@@ -14,8 +21,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Sequence, TypeVar
+import types
+from typing import Any, Callable, TypeVar
 
 from .groups import at_least
 
@@ -28,31 +35,18 @@ def map_trials(fn: Callable[[random.Random], T], trials: int, seed: int) -> list
     return [fn(random.Random(seed + i)) for i in range(trials)]
 
 
-class Report:
-    """Base of the report dataclasses: the dict keys are the field names,
-    in field order, so field order fixes the JSON key order.
+class Report(types.SimpleNamespace):
+    """A checker's result: its keyword arguments, as attributes and as a dict.
 
-    This is the shallow form of ``dataclasses.asdict``: nested lists and
-    dicts are shared, not deep-copied.  ``asdict`` copied every nested value
-    and made the 1000-trial ``plunnecke`` command 40% slower.
+    ``to_dict`` returns a new top-level dict with the keys in the order the
+    constructor received them, and that order is the JSON key order.  The
+    dict is shallow: nested lists and dicts are shared, not copied.  A deep
+    copy (``dataclasses.asdict``) made the 1000-trial ``plunnecke`` command
+    40% slower.
     """
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
-class RunReport(Report):
-    """Envelope for one command invocation."""
-
-    command: str
-    config: dict
-    passed: bool
-    report: Any
-    wall_time_s: float = field(default=0.0)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        return dict(vars(self))
 
 
 def _flat(prefix: str, value: Any, out: dict) -> None:
@@ -75,7 +69,7 @@ def _rows(report: Any) -> list[dict]:
     return rows
 
 
-def to_csv(run: RunReport) -> str:
+def to_csv(run: Report) -> str:
     """One line per trial; nested report fields become dotted columns."""
     import csv
     import io
@@ -94,7 +88,7 @@ def to_csv(run: RunReport) -> str:
     return buf.getvalue()
 
 
-def to_text(run: RunReport) -> str:
+def to_text(run: Report) -> str:
     """Compact human-readable summary."""
     lines = [f"command: {run.command}"]
     for k, v in run.config.items():
@@ -116,9 +110,9 @@ def to_text(run: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(run: RunReport, output: str) -> str:
+def render(run: Report, output: str) -> str:
     if output == "json":
-        return run.to_json() + "\n"
+        return json.dumps(run.to_dict(), indent=2, sort_keys=False) + "\n"
     if output == "csv":
         return to_csv(run)
     if output == "text":

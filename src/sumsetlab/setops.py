@@ -125,6 +125,12 @@ class _Kernel:
 
 @lru_cache(maxsize=256)
 def _kernel(spec: GroupSpec) -> _Kernel:
+    """The translate kernel of an Abelian ``spec``; every Abelian set
+    operation reaches it first, so sets over any other group are refused
+    here, once per miss of the cache."""
+    if not isinstance(spec, GroupSpec):
+        kind = type(spec).__name__
+        raise ValueError(f"expected sets over an Abelian GroupSpec, got sets over {kind} {spec}")
     return _Kernel(spec)
 
 

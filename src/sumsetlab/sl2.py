@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .config import check_order
 from .constructions import SearchBudgetError, check_density, check_size, random_set
-from .groups import as_int, as_prime, at_least
+from .groups import as_int, as_prime, at_least, check_index
 from .reports import Report, map_trials
 from .setops import GroupSet, _prefix_chain, _same_spec, is_cover
 
@@ -131,7 +130,7 @@ class SL2Group:
         return list(zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()))
 
     def element(self, i: int) -> tuple[int, int, int, int]:
-        return self.elements[i]
+        return self.elements[check_index(self, i)]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SL2Group) and other.p == self.p
@@ -243,29 +242,10 @@ def inverse_set(x: GroupSet) -> GroupSet:
 # Ruzsa triangle inequality
 
 
-@dataclass
-class RuzsaReport(Report):
-    """|AC^-1| <= |AB^-1| |BC^-1| / |B|, plus the proof's counting claim."""
-
-    p: int
-    card_a: int
-    card_b: int
-    card_c: int
-    card_ac_inv: int
-    card_ab_inv: int
-    card_bc_inv: int
-    rhs: float
-    inequality_ok: bool
-    count_checked: bool
-    min_representations: int | None
-    count_ok: bool | None
-    passed: bool
-
-
 _COUNT_LIMIT = 1 << 22
 
 
-def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet) -> RuzsaReport:
+def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet) -> Report:
     """Verify the triangle inequality; on small instances also verify that
     every z in AC^-1 factors as x*y (x in AB^-1, y in BC^-1) in >= |B| ways.
 
@@ -298,7 +278,7 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet) -> RuzsaReport:
         count_checked = True
         min_reps = _min_representations(ab, bc, ac)
         count_ok = min_reps >= b.card
-    return RuzsaReport(
+    return Report(
         p=g.p,
         card_a=a.card,
         card_b=b.card,
@@ -347,48 +327,25 @@ def _min_representations(x: GroupSet, y: GroupSet, targets: GroupSet) -> int:
 # Quasirandomness and triple-product covering
 
 
-@dataclass
-class QuasirandomInfo(Report):
-    """D = (p-1)/2 from the Frobenius formula; G is N^delta-quasirandom."""
-
-    p: int
-    order: int
-    D: int
-    delta: float
-
-
-def quasirandom_info(p: int) -> QuasirandomInfo:
+def quasirandom_info(p: int) -> Report:
+    """D = (p-1)/2 from the Frobenius formula; G is N^delta-quasirandom
+    with N^delta = D."""
     p = at_least(as_prime(p), 3, "p")  # D = (p-1)/2 would be 0 at p = 2
     n = p**3 - p
     d = (p - 1) // 2
-    return QuasirandomInfo(p=p, order=n, D=d, delta=math.log(d) / math.log(n))
+    return Report(p=p, order=n, D=d, delta=math.log(d) / math.log(n))
 
 
-def _triple_product_info(g: SL2Group) -> QuasirandomInfo:
+def _triple_product_info(g: SL2Group) -> Report:
     """``quasirandom_info`` of ``g``, refused below p = 5, where D = 1 and
     the triple-product step claims nothing."""
     return quasirandom_info(at_least(g.p, 5, "p"))
 
 
-@dataclass
-class GowersReport(Report):
-    """|A||B||C| > N^3/D forces ABC = G; no claim below the threshold."""
-
-    p: int
-    order: int
-    D: int
-    card_a: int
-    card_b: int
-    card_c: int
-    triple_product: int
-    premise_met: bool
-    product_card: int
-    covers: bool
-    passed: bool
-
-
-def check_gowers(a: GroupSet, b: GroupSet, c: GroupSet) -> GowersReport:
-    """Premise is evaluated in exact integers: |A||B||C| * D > N^3."""
+def check_gowers(a: GroupSet, b: GroupSet, c: GroupSet) -> Report:
+    """|A||B||C| > N^3/D forces ABC = G; below that threshold there is no
+    claim and the report passes.  The premise is evaluated in exact
+    integers: |A||B||C| * D > N^3."""
     _same_spec(a.group, b.group)
     _same_spec(a.group, c.group)
     g = _require_sl2(a.group)
@@ -397,7 +354,7 @@ def check_gowers(a: GroupSet, b: GroupSet, c: GroupSet) -> GowersReport:
     premise = triple * info.D > g.order**3
     abc = product_set(product_set(a, b), c)
     covers = is_cover(abc)
-    return GowersReport(
+    return Report(
         p=g.p,
         order=g.order,
         D=info.D,
@@ -423,25 +380,6 @@ def theorem4_bound(delta: float) -> int:
 # Three-block covering chain
 
 
-@dataclass
-class Theorem4Report(Report):
-    """3K sets with A_i A_i^-1 = G multiply out to G, via three K-blocks."""
-
-    p: int
-    order: int
-    D: int
-    delta: float
-    K: int
-    family_cards: list[int]
-    hypothesis_ok: list[bool]
-    blocks: list[dict]
-    chain_ok: bool
-    gowers_premise_met: bool
-    final_card: int
-    final_cover: bool
-    passed: bool
-
-
 def _meets_floor(card, n: int, d: int):
     """Whether card >= N^(1 - delta/3), in exact integers.
 
@@ -452,7 +390,7 @@ def _meets_floor(card, n: int, d: int):
     return card**3 * d >= n**3
 
 
-def verify_theorem4(family: Sequence[GroupSet]) -> Theorem4Report:
+def verify_theorem4(family: Sequence[GroupSet]) -> Report:
     """Check the covering chain for 3K sets, K per block.
 
     Per set: the hypothesis A_i A_i^-1 = G.  Per block: the first set has
@@ -460,12 +398,12 @@ def verify_theorem4(family: Sequence[GroupSet]) -> Theorem4Report:
     sqrt(N * |prev|) <= |prev * A_i| (checked as card^2 >= N * prev), and
     the block product reaches the N^(1 - delta/3) floor (checked as
     card^3 * D >= N^3; ``floor`` is reported for display).  The three block
-    products then cover G by the triple-product argument.
+    products then cover G by the triple-product argument (``check_gowers``).
     """
     return _theorem4_chain(family, None)
 
 
-def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None) -> Theorem4Report:
+def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None) -> Report:
     """``verify_theorem4``, taking the hypothesis verdicts when the caller
     already knows them (a trial runner whose sampler accepted each set
     only once A A^-1 covered G); ``None`` tests every set."""
@@ -490,11 +428,8 @@ def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None
         }
         for block in chain
     ]
-    triple = block_products[0].card * block_products[1].card * block_products[2].card
-    premise = triple * info.D > n**3
-    final = product_set(product_set(block_products[0], block_products[1]), block_products[2])
-    final_cover = is_cover(final)
-    return Theorem4Report(
+    gowers = check_gowers(*block_products)
+    return Report(
         p=g.p,
         order=n,
         D=info.D,
@@ -504,27 +439,11 @@ def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None
         hypothesis_ok=hypothesis_ok,
         blocks=blocks,
         chain_ok=chain_ok,
-        gowers_premise_met=premise,
-        final_card=final.card,
-        final_cover=final_cover,
-        passed=all(hypothesis_ok) and final_cover,
+        gowers_premise_met=gowers.premise_met,
+        final_card=gowers.product_card,
+        final_cover=gowers.covers,
+        passed=all(hypothesis_ok) and gowers.covers,
     )
-
-
-@dataclass
-class Remark12Report(Report):
-    """At p >= 7 the bound gives K=4, so twelve hypothesis sets suffice."""
-
-    p: int
-    order: int
-    D: int
-    delta: float
-    K: int
-    n_sets: int
-    applies: bool
-    trials: int
-    trials_passed: list[bool]
-    passed: bool
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +467,10 @@ def sample_hypothesis_set(group: SL2Group, rng: random.Random, density: float = 
     )
 
 
-def ruzsa_trials(p: int, trials: int, seed: int) -> list[RuzsaReport]:
+def ruzsa_trials(p: int, trials: int, seed: int) -> list[Report]:
     g = sl2_group(p)
 
-    def one(rng: random.Random) -> RuzsaReport:
+    def one(rng: random.Random) -> Report:
         a = random_sl2_set(g, rng.randint(1, g.order), rng)
         b = random_sl2_set(g, rng.randint(1, g.order), rng)
         c = random_sl2_set(g, rng.randint(1, g.order), rng)
@@ -560,11 +479,11 @@ def ruzsa_trials(p: int, trials: int, seed: int) -> list[RuzsaReport]:
     return map_trials(one, trials, seed)
 
 
-def gowers_trials(p: int, size: int, trials: int, seed: int) -> list[GowersReport]:
+def gowers_trials(p: int, size: int, trials: int, seed: int) -> list[Report]:
     g = sl2_group(p)
     size = check_size(g, size)
 
-    def one(rng: random.Random) -> GowersReport:
+    def one(rng: random.Random) -> Report:
         sets = [random_sl2_set(g, size, rng) for _ in range(3)]
         return check_gowers(*sets)
 
@@ -577,7 +496,7 @@ def theorem4_trials(
     seed: int,
     K: int | None = None,
     density: float = 0.25,
-) -> list[Theorem4Report]:
+) -> list[Report]:
     """Run verify_theorem4 on families of 3K rejection-sampled sets.
 
     ``sample_hypothesis_set`` returns a set only once A A^-1 covers G, so
@@ -592,15 +511,16 @@ def theorem4_trials(
     if trials:
         check_order(3 * big_k * g.order, f"a family of {3 * big_k} sets in SL2(Z_{g.p})")
 
-    def one(rng: random.Random) -> Theorem4Report:
+    def one(rng: random.Random) -> Report:
         sets = [sample_hypothesis_set(g, rng, density) for _ in range(3 * big_k)]
         return _theorem4_chain(sets, [True] * len(sets))
 
     return map_trials(one, trials, seed)
 
 
-def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> Remark12Report:
-    """Evaluate the bound at p and, when it yields K=4, run 12-set trials.
+def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> Report:
+    """Evaluate the bound at p and, when it yields K=4, run 12-set trials:
+    at p >= 7 the bound gives K=4, so twelve hypothesis sets suffice.
 
     For p=5 the bound gives K=5, so the twelve-set statement is not implied;
     the report says so and runs nothing.
@@ -616,7 +536,7 @@ def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> R
     if applies:
         results = theorem4_trials(p, trials, seed, K=4, density=density)
         trials_passed = [r.passed for r in results]
-    return Remark12Report(
+    return Report(
         p=p,
         order=info.order,
         D=info.D,

@@ -189,7 +189,7 @@ def test_verify_theorem1_full_sets():
     fam = [GroupSet.full(spec)] * 4
     rep = verify_theorem1(fam, 2)
     assert rep.passed and rep.final_cover and rep.chain_ok
-    assert rep.K == 2 and rep.lam == pytest.approx(0.25)
+    assert rep.K == 2 and rep.to_dict()["lambda"] == pytest.approx(0.25)
     assert all(rep.hypothesis_ok) and all(rep.halves_exceed_half)
 
 

@@ -37,7 +37,18 @@ from sumsetlab.sl2 import (
 from sumsetlab.config import OrderCapError
 from sumsetlab.constructions import SearchBudgetError, random_set
 from sumsetlab.groups import parse_group_spec
-from sumsetlab.setops import GroupSet, is_cover, set_from_json, set_to_json
+from sumsetlab.abelian import check_plunnecke, verify_theorem1
+from sumsetlab.setops import (
+    ElementMultiset,
+    GroupSet,
+    is_cover,
+    m_fold,
+    set_from_json,
+    set_to_json,
+    subset_sums,
+    sumset,
+    translate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +589,32 @@ def test_sl2_entry_points_refuse_abelian_sets(entry):
     s = GroupSet.from_indices(parse_group_spec("Z6xZ10"), [1, 2, 7])
     with pytest.raises(ValueError, match="GroupSpec"):
         entry(s)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s: sumset(s, s),
+        lambda s: m_fold(s, 2),
+        lambda s: translate(s, 3),
+        lambda s: check_plunnecke(s, s, 2),
+        lambda s: verify_theorem1([s, s], 2),
+        lambda s: subset_sums(ElementMultiset.from_indices(s.group, [1, 2, 7])),
+    ],
+    ids=["sumset", "m_fold", "translate", "check_plunnecke", "verify_theorem1", "subset_sums"],
+)
+def test_abelian_entry_points_refuse_sl2_sets(entry):
+    s = GroupSet.from_indices(sl2_group(5), [1, 2, 7])
+    with pytest.raises(ValueError, match=r"SL2Group SL2Group\(p=5"):
+        entry(s)
+
+
+@pytest.mark.parametrize("i", [-1, 120])
+def test_element_refuses_indices_outside_the_group(i):
+    g = sl2_group(5)
+    with pytest.raises(ValueError, match=r"out of range \[0, 120\)"):
+        g.element(i)
+    assert g.element(119) == g.elements[119]
 
 
 # ---------------------------------------------------------------------------
