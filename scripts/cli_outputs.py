@@ -12,10 +12,13 @@ this process through ``sumsetlab.cli.run``:
 * ``sl2 ruzsa``, ``sl2 gowers`` and ``sl2 theorem4`` at p = 13 and 17;
 * ``sl2 ruzsa`` at p = 7 and 11, so that the representation count runs at
   two more primes.  Under the seeded draws every one of their trials has
-  BC^-1 = G (nothing to enumerate).  BC^-1 more than half of G, with its
-  complement enumerated, comes up at p = 5 (13 of the README's 100
-  trials) and p = 13 (1 of 3); the direct count runs only at p = 5 (2 of
-  100).  The tests force each branch directly;
+  BC^-1 = G (nothing to enumerate).  At p = 5, with either seed, 15 of
+  the README's 100 trials have BC^-1 != G, and 12 of those have
+  AB^-1 = G (nothing to enumerate either).  The other 3, and 1 of the 3
+  trials at p = 13, enumerate the complement of BC^-1, which is more than
+  half of G, with the per-target kernel.  No trial here runs the direct
+  count or the fibre kernel, which needs denser targets.  The tests force
+  each branch directly;
 * ``theorem1``, ``sl2 gowers`` and ``plunnecke`` runs whose operand sizes
   meet or straddle the pigeonhole bound |A| + |B| = |G|, at which the
   kernels must still run;

@@ -123,15 +123,20 @@ class _Kernel:
         return bits
 
 
+def _abelian(spec) -> GroupSpec:
+    """``spec`` itself, once it is known to be an Abelian ``GroupSpec``."""
+    if not isinstance(spec, GroupSpec):
+        kind = type(spec).__name__
+        raise ValueError(f"expected sets over an Abelian GroupSpec, got sets over {kind} {spec}")
+    return spec
+
+
 @lru_cache(maxsize=256)
 def _kernel(spec: GroupSpec) -> _Kernel:
     """The translate kernel of an Abelian ``spec``; every Abelian set
     operation reaches it first, so sets over any other group are refused
     here, once per miss of the cache."""
-    if not isinstance(spec, GroupSpec):
-        kind = type(spec).__name__
-        raise ValueError(f"expected sets over an Abelian GroupSpec, got sets over {kind} {spec}")
-    return _Kernel(spec)
+    return _Kernel(_abelian(spec))
 
 
 @dataclass(frozen=True)
@@ -219,6 +224,7 @@ class ElementMultiset:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _abelian(self.spec)  # coords() and from_coords() need the factors
         merged: dict[int, int] = {}
         for x, mult in self.entries:
             x = check_index(self.spec, x)
@@ -234,7 +240,7 @@ class ElementMultiset:
 
     @classmethod
     def from_coords(cls, spec: GroupSpec, coords: Iterable[Iterable[int]]) -> ElementMultiset:
-        return cls.from_indices(spec, (encode(spec, c) for c in coords))
+        return cls.from_indices(spec, (encode(_abelian(spec), c) for c in coords))
 
     @property
     def size(self) -> int:

@@ -16,10 +16,16 @@ time, read members back by key, and stop once the product is all of G.
 When |X| + |Y| > |G| the product is G by pigeonhole (X meets gY^-1 for
 every g) and no block runs.
 The Ruzsa representation count r(z) = |X ∩ zY^-1|, with X = AB^-1 and
-Y = BC^-1, runs the same blocks with the targets z in AC^-1 as the rows
-and the inverses of Y (or of its complement, whichever is smaller) as the
-columns: they give the keys of z * y^-1, and a p^4-byte mask of X's keys
-turns each r(z) into a sum of hits, added up block by block.
+Y = BC^-1, is |Y| for every z when X = G and |X| when Y = G.  Otherwise
+it enumerates S, the smaller of Y and its complement, by one of two
+kernels that a cost rule on targets per first-row fibre picks.  For
+sparse targets z in AC^-1 it runs the product blocks with the targets as
+the rows and S^-1 as the columns, and a p^4-byte mask of X's keys turns
+each r(z) into a sum of hits.  Dense targets go by fibres: the p elements
+that share a first row are l_j x0 with l_j = [[1, 0], [j, 1]], so for one
+s the hits of the whole fibre are one row of a per-call line table,
+(1_X(l_j x0 s^-1))_{j<p}, and the count forms (p^2 - 1)|S| indices
+however many targets there are.
 Sets are ``GroupSet`` bitmasks over these element indices, the same set
 type the Abelian engine uses; the SL2 entry points refuse sets over any
 other group with a ``ValueError``.
@@ -38,6 +44,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import check_order
 from .constructions import SearchBudgetError, check_density, check_size, random_set
@@ -46,7 +53,7 @@ from .reports import Report, map_trials
 from .setops import GroupSet, _prefix_chain, _same_spec, is_cover
 
 _CHUNK_CELLS = 1 << 14  # product cells a block of Y keys in ``product_set``
-_COUNT_CELLS = 1 << 16  # the same in the Ruzsa count, which has no early exit
+_COUNT_CELLS = 1 << 16  # the same in the Ruzsa count (see _fibre_counts), which has no early exit
 _HYPOTHESIS_TRIES = 200  # draws before ``sample_hypothesis_set`` gives up
 
 
@@ -88,6 +95,21 @@ class SL2Group:
         # The inverse of (a, b, c, d) is its adjugate (d, -b, -c, a).
         self.inv = self._indices(d * p + (-b % p), (-c % p) * p + a)
         self.identity = p * p - p  # (1, 0, 0, 1): first row 1 * p + 0, t = c = 0
+        self._unit_inv = unit_inv  # _unit_inv[k] = 1/k mod p, and 0 at k = 0
+
+    @cached_property
+    def _line_at(self) -> np.ndarray:
+        """Element i's place fibre * 2p + u in the Ruzsa count's fibre table.
+
+        The fibre i // p holds the p elements that share i's first row, and
+        u = t/k with k the row's first nonzero entry.  Left multiplication by
+        [[1, 0], [j, 1]] adds j times the first row to the second, so it
+        moves an element from u to u + j within its fibre.
+        """
+        p = self.p
+        fibre, t = np.divmod(np.arange(self.order), p)
+        a, b = np.divmod(self._row1, p)
+        return fibre * (2 * p) + t * self._unit_inv[np.where(a == 0, b, a)] % p
 
     def _indices(self, row1, row2):
         """Indices of the matrices with rows ``row1`` = a * p + b and
@@ -298,18 +320,37 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet) -> Report:
 def _min_representations(x: GroupSet, y: GroupSet, targets: GroupSet) -> int:
     """The least r(z) = |X ∩ zY^-1| over z in the nonempty ``targets``.
 
-    The enumerated side S is the smaller of Y and Y^c.  ``_key_blocks``
-    gives the packed keys of z * s^-1 for every z in ``targets`` against a
-    block of S^-1 at a time, and a p^4-byte mask of X's keys turns them
-    into hits.  The hits are added up column by column across the blocks,
-    and each count is one row sum at the end, with no key-to-index lookup
-    and no order-sized bins.
+    When X = G every r(z) is |Y|, and when Y = G every r(z) is |X|; neither
+    runs a kernel.  Otherwise the enumerated side S is the smaller of Y and
+    Y^c, and r_S(z) = |X ∩ zS^-1| comes from the cheaper of two kernels.
+    ``_target_counts`` forms |Z| * |S| keys.  ``_fibre_counts`` forms
+    (p^2 - 1) * |S| line indices, whatever the number of targets.  Counted
+    in keys, a line of W = ⌈p/8⌉ uint64 words costs about 1 + W, and the
+    fibres' tables about 2^16 + 4|G| more, as measured in process at p = 5
+    to 47.  So the fibres run once |Z| is well above (1 + W)(p^2 - 1).
     """
     g = x.group
+    if x.card == g.order:
+        return y.card  # zY^-1 lies in X = G
     complement = 2 * y.card > g.order
     side = GroupSet(g, y.bits ^ GroupSet.full(g).bits) if complement else y
     if side.card == 0:
         return x.card
+    words = -(-g.p // 8)
+    saved = side.card * (targets.card - (1 + words) * (g.p**2 - 1))
+    kernel = _fibre_counts if saved >= (1 << 16) + 4 * g.order else _target_counts
+    counts = kernel(g, x, side, targets)
+    return x.card - int(counts.max()) if complement else int(counts.min())
+
+
+def _target_counts(g: SL2Group, x: GroupSet, side: GroupSet, targets: GroupSet) -> np.ndarray:
+    """|X ∩ zS^-1| for every z in ``targets``, one key per (target, column).
+
+    ``_key_blocks`` gives the packed keys of z * s^-1 for every target z
+    against a block of S^-1 at a time, and a p^4-byte mask of X's keys
+    turns them into hits.  The hits are added up column by column across
+    the blocks, and each count is one row sum at the end.
+    """
     in_x = np.zeros(g.p**4, dtype=np.uint8)
     in_x[g._keys[x.index_array()]] = 1
     counts = None  # counts[i, j]: the hits of target i in column j of every block
@@ -319,8 +360,67 @@ def _min_representations(x: GroupSet, y: GroupSet, targets: GroupSet) -> int:
             counts = hits.astype(g._key_dtype)  # below |S| < p^4, so they fit
         else:
             counts[:, : hits.shape[1]] += hits
-    sums = counts.sum(axis=1)
-    return x.card - int(sums.max()) if complement else int(sums.min())
+    return counts.sum(axis=1)
+
+
+def _fibre_counts(g: SL2Group, x: GroupSet, side: GroupSet, targets: GroupSet) -> np.ndarray:
+    """|X ∩ zS^-1| for every z in ``targets``, one line per (fibre, column).
+
+    The targets z = l_j x0 of a fibre (l_j = [[1, 0], [j, 1]], x0 its
+    member with t = 0) share z s^-1 = l_j w with w = x0 s^-1, so the row
+    ``lines[w] = (1_X(l_j w))_{j<p}`` holds the hits of the whole fibre
+    against s.  In u coordinates (``SL2Group._line_at``) each row is a
+    window of the fibre's indicator of X written out twice.  The rows are
+    8⌈p/8⌉ bytes, summed as uint64 words: a block adds at most 255 rows,
+    so no byte lane overflows into its neighbour, and the lanes past p are
+    never read.  A block gathers at most 2 * ``_COUNT_CELLS`` bytes of
+    lines.  Blocks twice that size ran about 10% faster at p = 13, but
+    they raised the traced peak of ``check_ruzsa`` on 40-element sets there
+    from 0.43 to 0.59 MiB, above that of every other SL2 trial in
+    ``perfbench/``.
+    """
+    p = g.p
+    at = g._line_at
+    indicator = np.zeros((p * p - 1) * 2 * p + 8, dtype=np.uint8)
+    ix = at[x.index_array()]
+    indicator[ix] = indicator[ix + p] = 1
+    width = 8 * -(-p // 8)
+    lines = sliding_window_view(indicator, width)[at].view(np.uint64)
+    iy = g.inv[side.index_array()]
+    step = min(255, len(iy), max(1, 2 * _COUNT_CELLS // (width * (p * p - 1))))
+    counts = np.zeros((p * p - 1, width), dtype=np.intp)  # counts[ℓ * (p - 1) + μ - 1, j]
+    for cells in _line_blocks(g, iy, step):
+        counts += np.take(lines, cells, axis=0).sum(axis=0).view(np.uint8)
+    z = targets.index_array()
+    # z's first row (a, b) is μℓ: μ = a and ℓ = (1, b/a), or μ = b and ℓ = (0, 1).
+    a, b = np.divmod(g._row1[z], p)
+    ell = np.where(a == 0, p, b * g._unit_inv[a] % p)
+    return counts[ell * (p - 1) + np.where(a == 0, b, a) - 1, at[z] % (2 * p)]
+
+
+def _line_blocks(g: SL2Group, iy: np.ndarray, step: int) -> Iterator[np.ndarray]:
+    """Element indices of x0 * y for every fibre's x0 (columns) and every y
+    in iy (rows), ``step`` rows at a time.
+
+    Every first row is μℓ for a unit μ and one of the p + 1 lines
+    ℓ = (1, m) or (0, 1), and the columns run over ℓ, then μ.  The fibre's
+    x0 is D(μ) x0(ℓ), with D(μ) = diag(μ, 1/μ) and x0(ℓ) = (1, m, 0, 1) or
+    (0, 1, -1, 0), so x0 * y = D(μ) w with w = x0(ℓ) y.  D(μ) multiplies
+    w's first row by μ and its t (c, or d when the row starts with 0) by
+    1/μ, so the index of D(μ) w is ``scaled[fibre(w), μ] + shifted[t(w), μ]``.
+    Only the (p + 1) * |iy| products w are formed as products.
+    """
+    p = g.p
+    # x0(1, m) = (1, m, 0, 1) has index p^2 + mp - p; x0(0, 1) = (0, 1, -1, 0) is element 0.
+    x0 = np.append(p * p - p + p * np.arange(p), 0)
+    fibre, t = np.divmod(g.product_indices(x0, iy).T, p)
+    scaled = g._reduce[g._half[1:, 1:]].T.astype(np.intp) * p - p  # fibre f's row f + 1 times μ
+    shifted = np.outer(np.arange(p), g._unit_inv[1:]) % p  # t/μ
+    for start in range(0, len(iy), step):
+        block = slice(start, start + step)
+        cells = np.take(scaled, fibre[block], axis=0)
+        cells += np.take(shifted, t[block], axis=0)
+        yield cells.reshape(len(cells), p * p - 1)
 
 
 # ---------------------------------------------------------------------------

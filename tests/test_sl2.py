@@ -519,10 +519,14 @@ _COUNT_CASES = [
 
 
 @st.composite
-def _sl2_subset(draw, g, side):
-    size = draw(st.integers(*_SIDES[side](g.order)))
-    seed = draw(st.integers(0, 2**32))
-    return SL2Set.from_indices(g, random.Random(seed).sample(range(g.order), size))
+def _sized(draw, g, lo, hi):
+    """A random subset of ``g`` with ``lo`` to ``hi`` elements."""
+    size = draw(st.integers(lo, hi))
+    return _sized_sl2_set(g, size, draw(st.integers(0, 2**32)))
+
+
+def _sl2_subset(g, side):
+    return _sized(g, *_SIDES[side](g.order))
 
 
 @pytest.mark.parametrize("x_side,y_side", _COUNT_CASES)
@@ -538,8 +542,129 @@ def test_min_representations_matches_naive(p, x_side, y_side, data):
     reps = naive_sl2_representations(p, x.coords(), y.coords())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sl2, "_COUNT_CELLS", cells)
+        kernels = _count_kernels(mp)
         got = sl2._min_representations(x, y, targets)
     assert got == min(reps[z] for z in targets.coords())
+    if "full" in (x_side, y_side):
+        assert kernels == []  # X = G or Y = G: every r(z) is |Y| or |X|
+
+
+def _count_kernels(monkeypatch):
+    """Record the name of every count kernel that runs."""
+    runs = []
+    for name in ("_fibre_counts", "_target_counts"):
+        kernel = getattr(sl2, name)
+
+        def counted(*args, kernel=kernel, name=name):
+            runs.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(sl2, name, counted)
+    return runs
+
+
+def _count_lines(monkeypatch):
+    """Record the shape of every block of line indices that
+    ``_line_blocks`` yields."""
+    blocks = []
+    line_blocks = sl2._line_blocks
+
+    def counted(g, iy, step):
+        for cells in line_blocks(g, iy, step):
+            blocks.append(cells.shape)
+            yield cells
+
+    monkeypatch.setattr(sl2, "_line_blocks", counted)
+    return blocks
+
+
+def _both_counts(x, side, targets):
+    """Both kernels' counts |X ∩ zS^-1|, in the order of ``targets``."""
+    g = x.group
+    fibre = sl2._fibre_counts(g, x, side, targets)
+    target = sl2._target_counts(g, x, side, targets)
+    assert fibre.tolist() == target.tolist()
+    return fibre.tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fibre_counts_match_naive(p, data):
+    """The fibre kernel, the target kernel and the naive count agree on
+    every target, at every block size, on both sides of the cost rule."""
+    g = sl2_group(p)
+    small = min(g.order, 60)  # keeps the naive count small at p = 11
+    x = data.draw(_sized(g, 1, small), label="X")
+    side = data.draw(_sized(g, 1, min(small, g.order // 2)), label="S")
+    targets = data.draw(_sized(g, 1, g.order), label="Z")
+    cells = data.draw(st.sampled_from([1, 64, sl2._COUNT_CELLS]), label="block cells")
+    reps = naive_sl2_representations(p, x.coords(), side.coords())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sl2, "_COUNT_CELLS", cells)
+        assert _both_counts(x, side, targets) == [reps[z] for z in targets.coords()]
+
+
+@pytest.mark.parametrize("cells", [1, 64, sl2._COUNT_CELLS])
+def test_fibre_counts_on_first_rows_starting_with_zero(cells, monkeypatch):
+    """Targets whose first row is (0, b), so t = d, with an X that holds
+    every such element, against a side that maps many of them back."""
+    g = sl2_group(7)
+    zero_first = list(range(g.p * (g.p - 1)))  # a = 0 sorts first
+    assert all(g.element(i)[0] == 0 for i in zero_first)
+    x = SL2Set.from_indices(g, zero_first + random.Random(1).sample(range(42, g.order), 20))
+    side = _sized_sl2_set(g, 50, 2)
+    targets = SL2Set.from_indices(g, zero_first)
+    monkeypatch.setattr(sl2, "_COUNT_CELLS", cells)
+    reps = naive_sl2_representations(7, x.coords(), side.coords())
+    assert _both_counts(x, side, targets) == [reps[z] for z in targets.coords()]
+
+
+@pytest.mark.parametrize("cells", [1, 64, sl2._COUNT_CELLS, 1 << 30])
+def test_fibre_counts_above_a_byte(cells, monkeypatch):
+    """r(z) > 255 for every target, so a byte lane that overflowed within a
+    block, or carried into its neighbour, would show; 1 << 30 cells puts
+    the largest block, 255 rows, into every lane."""
+    g = sl2_group(11)
+    e = 5
+    x = SL2Set.from_indices(g, [i for i in range(g.order) if i != e])  # X = G minus e
+    side = _sized_sl2_set(g, 300, 3)
+    targets = SL2Set.full(g)
+    monkeypatch.setattr(sl2, "_COUNT_CELLS", cells)
+    missed = {naive_sl2_mul(11, g.element(e), s) for s in side.coords()}  # z with e in zS^-1
+    want = [side.card - (z in missed) for z in targets.coords()]
+    assert min(want) == 299 and max(want) == 300
+    assert _both_counts(x, side, targets) == want
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_dense_targets_run_the_fibre_kernel(p, monkeypatch):
+    """Dense targets against a large side take the fibres, sparse ones the
+    per-target keys, and both give the naive minimum."""
+    g = sl2_group(p)
+    x, y = _sized_sl2_set(g, 60, 4), _sized_sl2_set(g, 200, 5)
+    reps = naive_sl2_representations(p, x.coords(), y.coords())
+    runs = _count_kernels(monkeypatch)
+    for size, kernel in [(g.order, "_fibre_counts"), (p * p, "_target_counts")]:
+        targets = _sized_sl2_set(g, size, 6)
+        assert sl2._min_representations(x, y, targets) == min(reps[z] for z in targets.coords())
+        assert runs.pop() == kernel and runs == []
+
+
+def test_ruzsa_count_forms_one_line_per_fibre_and_column(monkeypatch):
+    """On three 40-element sets at p = 13 the count forms (p^2 - 1)|S| line
+    indices and keys only the p + 1 line products, not |Z| * |S| keys."""
+    g = sl2_group(13)
+    rng = random.Random(0)
+    a, b, c = (SL2Set.from_indices(g, rng.sample(range(g.order), 40)) for _ in range(3))
+    keys, _ = _count_blocks(monkeypatch)
+    lines = _count_lines(monkeypatch)
+    r = check_ruzsa(a, b, c)
+    assert r.count_checked
+    side = min(r.card_bc_inv, g.order - r.card_bc_inv)
+    assert sum(n * f for n, f in lines) == (g.p**2 - 1) * side < r.card_ac_inv * side / 6
+    assert {f for _, f in lines} == {g.p**2 - 1}
+    assert keys[3:] == [(g.p + 1, side)]  # after AC^-1, AB^-1 and BC^-1
 
 
 def test_ruzsa_representation_count_complement_branch_p11():
@@ -607,6 +732,22 @@ def test_abelian_entry_points_refuse_sl2_sets(entry):
     s = GroupSet.from_indices(sl2_group(5), [1, 2, 7])
     with pytest.raises(ValueError, match=r"SL2Group SL2Group\(p=5"):
         entry(s)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda g: ElementMultiset.from_indices(g, [1, 2]),
+        lambda g: ElementMultiset.from_coords(g, [(1, 0, 0, 1)]),
+        lambda g: ElementMultiset(g, ()),
+    ],
+    ids=["from_indices", "from_coords", "empty"],
+)
+def test_element_multiset_refuses_sl2_groups(make):
+    """Multisets need an Abelian group's factors for their coordinates."""
+    msg = r"expected sets over an Abelian GroupSpec, got sets over SL2Group SL2Group\(p=5"
+    with pytest.raises(ValueError, match=msg):
+        make(sl2_group(5))
 
 
 @pytest.mark.parametrize("i", [-1, 120])
