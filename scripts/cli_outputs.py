@@ -45,6 +45,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -107,7 +108,9 @@ def main(outdir: Path) -> int:
         + EXAMPLE1_COMMANDS
     )
     lines = []
-    with contextlib.chdir(outdir):
+    cwd = os.getcwd()
+    os.chdir(outdir)  # not contextlib.chdir, which Python 3.10 lacks
+    try:
         for i, command in enumerate(commands):
             for seed in (0, 1):
                 argv = [*shlex.split(command), "--seed", str(seed)]
@@ -116,6 +119,8 @@ def main(outdir: Path) -> int:
                 text = capture(argv).encode("utf-8")
                 Path(name).write_bytes(text)
                 lines.append(f"{hashlib.sha256(text).hexdigest()}  {name}")
+    finally:
+        os.chdir(cwd)
     print("\n".join(lines))
     return 0
 

@@ -15,7 +15,6 @@ from .abelian import (
 )
 from .config import DEFAULT_ORDER_CAP, OrderCapError, order_cap, set_order_cap
 from .constructions import (
-    BasisMatrix,
     SearchBudgetError,
     enumerate_bases,
     example1_family,

@@ -24,9 +24,9 @@ import numpy as np
 from .config import check_order
 from .constructions import (
     _WITNESS_LIMIT,
+    _random_basis_rows,
     check_density,
     enumerate_bases,
-    random_basis_matrix,
     random_cover_set,
     random_set,
 )
@@ -358,10 +358,11 @@ def kpn_exact_small(
 
     Exhaustive when all unordered k-tuples of bases fit the budget (the
     result is then exact); otherwise seeded random tuples are tried and the
-    result is only empirical.  ``budget`` must be at least 1: a level that
-    checked no tuple would claim its k with no evidence.
+    result is only empirical.  ``budget`` and ``k_max`` must be at least 1:
+    a level that checks no tuple, or a search with no level, has no
+    evidence for its k.
     """
-    p, n, k_max = as_prime(p), at_least(n, 1, "n"), as_int(k_max, "k_max")
+    p, n, k_max = as_prime(p), at_least(n, 1, "n"), at_least(k_max, 1, "k_max")
     budget = at_least(budget, 1, "budget")
     spec = vector_space_spec(p, n)
     bases = enumerate_bases(p, n)
@@ -375,7 +376,7 @@ def kpn_exact_small(
         else:
             rng = random.Random(seed * 1_000_003 + k)
             tuples = (
-                tuple(random_basis_matrix(p, n, seed=rng.getrandbits(62)).rows for _ in range(k))
+                tuple(_random_basis_rows(p, n, rng.getrandbits(62)) for _ in range(k))
                 for _ in range(budget)
             )
         counter = None

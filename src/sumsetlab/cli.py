@@ -12,8 +12,8 @@ it resolves (``theorem1``'s default ``K``) is recorded.
 ``run(argv)`` can be called many times in one process.  The argument
 parser is built on the first call and reused by every later one; each run
 still restores the order cap that ``--order-cap`` changed for it.
-``kpn --budget`` must be at least 1, since a search that checks no tuple
-has no evidence for its least k.
+``kpn --budget`` and ``--k-max`` must be at least 1, since a search that
+checks no tuple has no evidence for its least k.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import Any
 
 from . import abelian, constructions, sl2
 from .config import order_cap, set_order_cap
-from .groups import parse_group_spec
+from .groups import parse_group_spec, vector_space_spec
 from .reports import Report, render
-from .setops import set_from_json, set_to_json, subset_sums, sumset
+from .setops import set_from_json, set_to_json, sumset
 from .sl2 import sl2_group
 
 
@@ -205,12 +205,12 @@ def _basis(args) -> tuple[bool, dict]:
         basis = constructions.random_basis_matrix(args.p, args.n, args.seed)
     else:
         basis = constructions.standard_basis_matrix(args.p, args.n)
-    closure_card = subset_sums(basis.to_multiset()).card
+    closure_card = abelian._union_closure(vector_space_spec(args.p, args.n), [basis]).card
     return True, {
         "p": args.p,
         "n": args.n,
         "random": args.random,
-        "rows": [list(r) for r in basis.rows],
+        "rows": [list(r) for r in basis],
         "closure_card": closure_card,
         "is_additive_basis": closure_card == args.p**args.n,
     }

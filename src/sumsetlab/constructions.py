@@ -12,6 +12,9 @@ gap these tools measure.  For p = 2 the i = 1 block degenerates
 report flags it rather than papering over it.  Over element indices a
 blockwise product is a Kronecker product of indicator vectors, so each set
 is a Kronecker power built from the indicator of ``{0}`` and packed once.
+
+A basis of Z_p^n is a plain tuple of n rows.  Its factories check p and n
+once; rows the library draws itself are not checked again.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .config import check_doubling
 from .groups import GroupSpec, as_int, as_prime, at_least, vector_space_spec
 from .reports import Report
-from .setops import ElementMultiset, GroupSet, is_cover, m_fold, sumset
+from .setops import GroupSet, is_cover, m_fold, sumset
 
 # Draws before a rejection sampler gives up, and the largest candidate pool
 # that ``enumerate_bases`` walks.
@@ -250,56 +253,28 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
-class SingularRowsError(ValueError):
-    """The rows of a would-be basis are linearly dependent over Z_p."""
+def standard_basis_matrix(p: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the identity matrix over Z_p; the cap is checked before primality."""
+    n = vector_space_spec(p, n).rank
+    as_prime(p)
+    return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
-    """n independent row vectors over Z_p, with integer entries."""
-
-    p: int
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        p, n = as_prime(self.p), at_least(self.n, 1, "n")
-        rows = tuple(
-            tuple(as_int(x, "matrix entry", f"Z_{p}") % p for x in row) for row in self.rows
-        )
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError(f"expected {n} rows of length {n}")
-        if rank_mod_p(rows, p) != n:
-            raise SingularRowsError(f"rows are not linearly independent over Z_{p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-
-    def to_multiset(self) -> ElementMultiset:
-        spec = vector_space_spec(self.p, self.n)
-        return ElementMultiset.from_coords(spec, self.rows)
-
-
-def standard_basis_matrix(p: int, n: int) -> BasisMatrix:
-    """The n unit vectors of Z_p^n as the rows of the identity matrix."""
-    n = vector_space_spec(p, n).rank  # refuses p^n above the cap before any row is built
-    rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    return BasisMatrix(p, n, rows)
-
-
-def random_basis_matrix(p: int, n: int, seed: int) -> BasisMatrix:
-    """A uniformly-ish random basis: resample the n x n matrix until it is
-    invertible mod p (expected O(1) retries, at most ``_BASIS_TRIES``).  Each draw is ranked once, by
-    ``BasisMatrix`` itself, which rejects a singular draw."""
+def random_basis_matrix(p: int, n: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Seeded random invertible rows over Z_p; primality is checked before the cap."""
     p = as_prime(p)
-    n = vector_space_spec(p, n).rank  # refuses p^n above the cap before any row is built
+    return _random_basis_rows(p, vector_space_spec(p, n).rank, seed)
+
+
+def _random_basis_rows(p: int, n: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """``random_basis_matrix`` for a checked p and n: ``Random(seed)`` draws n x n
+    entries with ``randrange(p)``, row by row, until a draw has rank n (expected
+    O(1) draws, at most ``_BASIS_TRIES``).  Each draw is ranked once."""
     rng = random.Random(seed)
     for _ in range(_BASIS_TRIES):
         rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-        try:
-            return BasisMatrix(p, n, rows)
-        except SingularRowsError:
-            continue
+        if rank_mod_p(rows, p) == n:
+            return rows
     raise SearchBudgetError(f"no invertible {n}x{n} matrix mod {p} in {_BASIS_TRIES} draws")
 
 

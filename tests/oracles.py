@@ -11,6 +11,7 @@ from decimal import ROUND_CEILING, Decimal, localcontext
 from functools import lru_cache
 from itertools import product
 from math import prod
+from random import Random
 
 
 def add_coords(factors, x, y):
@@ -76,6 +77,21 @@ def naive_subset_sums(factors, elems):
                 s = add_coords(factors, s, e)
         out.add(s)
     return frozenset(out)
+
+
+def naive_first_basis_draw(p, n, seed):
+    """The first n x n matrix that ``Random(seed).randrange(p)`` fills row by
+    row whose rows span all p^n vectors, the span listed by brute force over
+    every coefficient vector."""
+    rng = Random(seed)
+    while True:
+        rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+        span = {
+            tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(n))
+            for coeffs in product(range(p), repeat=n)
+        }
+        if len(span) == p**n:
+            return rows
 
 
 def naive_sl2_mul(p, x, y):

@@ -381,6 +381,13 @@ def test_kpn_exact_rejects_budget_below_1(budget):
         kpn_exact_small(3, 2, budget=budget)
 
 
+@pytest.mark.parametrize("k_max", [0, -5])
+def test_kpn_exact_rejects_k_max_below_1(k_max):
+    """A search that runs no level has no evidence for its k."""
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        kpn_exact_small(3, 2, k_max=k_max)
+
+
 @pytest.mark.parametrize("p,n", [(3, 2), (2, 1), (2, 2), (2, 3)])
 def test_kpn_union_closure_matches_naive(p, n):
     """Every union of k <= 2 bases: its closure equals the oracle's, and the

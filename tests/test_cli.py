@@ -12,6 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import naive_first_basis_draw, naive_subset_sums
 from sumsetlab import cli
 from sumsetlab.config import order_cap, set_order_cap
 from sumsetlab.groups import parse_group_spec
@@ -200,6 +201,15 @@ def test_kpn_config_records_the_search_options(capsys):
     assert b["config"]["seed"] == 2
 
 
+@pytest.mark.parametrize("k_max", ["0", "-5"])
+def test_kpn_k_max_below_1_is_usage_error(k_max, capsys):
+    """A search that runs no level is refused, not reported as passed."""
+    assert cli.run(["kpn", "--p", "3", "--n", "2", "--exact", "--k-max", k_max]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "k_max must be >= 1" in err
+
+
 def test_kpn_budget_below_1_is_usage_error(capsys):
     assert cli.run(["kpn", "--p", "3", "--n", "2", "--exact", "--budget", "0"]) == 2
     out, err = capsys.readouterr()
@@ -336,6 +346,39 @@ def test_basis_command(capsys):
     assert code == 0
     assert rep["report"]["closure_card"] == 8
     assert rep["report"]["is_additive_basis"] is True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_rows_and_closure_match_oracles(p, n, capsys):
+    """``basis --random`` prints the oracle's first spanning draw, and the
+    closure card of its rows that direct enumeration gives."""
+    for seed in range(20):
+        argv = ["basis", "--p", str(p), "--n", str(n), "--random", "--seed", str(seed)]
+        code, rep = run_json(capsys, argv)
+        rows = naive_first_basis_draw(p, n, seed)
+        assert code == 0
+        assert rep["report"]["rows"] == [list(row) for row in rows]
+        assert rep["report"]["closure_card"] == len(naive_subset_sums((p,) * n, rows))
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            [],
+            "group Z4^100 has at least 268435456 elements, above the cap of 67108864;"
+            " raise it with set_order_cap() or $SUMSETLAB_ORDER_CAP",
+        ),
+        (["--random"], "p must be prime, got 4"),
+    ],
+    ids=["standard", "random"],
+)
+def test_basis_check_order(extra, message, capsys):
+    """The standard basis checks the order cap before primality, and the
+    random basis checks primality first."""
+    assert cli.run(["basis", "--p", "4", "--n", "100", *extra]) == 2
+    assert capsys.readouterr().err == f"sumsetlab: error: {message}\n"
 
 
 def test_basis_command_standard(capsys):

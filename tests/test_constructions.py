@@ -8,11 +8,15 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_half_zero_block, naive_half_zero_member, naive_punctured_product
+from oracles import (
+    naive_first_basis_draw,
+    naive_half_zero_block,
+    naive_half_zero_member,
+    naive_punctured_product,
+)
 from sumsetlab import constructions
 from sumsetlab.config import OrderCapError
 from sumsetlab.constructions import (
-    BasisMatrix,
     SearchBudgetError,
     enumerate_bases,
     example1_family,
@@ -26,7 +30,7 @@ from sumsetlab.constructions import (
     verify_example1,
 )
 from sumsetlab.groups import GroupSpec, parse_group_spec, vector_space_spec
-from sumsetlab.setops import GroupSet, is_cover, m_fold, subset_sums, sumset
+from sumsetlab.setops import ElementMultiset, GroupSet, is_cover, m_fold, subset_sums, sumset
 from sumsetlab.sl2 import sl2_group
 
 
@@ -168,27 +172,25 @@ def test_rank_mod_p():
     assert rank_mod_p([], 3) == 0
 
 
-def test_basis_matrix_validation():
-    BasisMatrix(3, 2, ((1, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        BasisMatrix(3, 2, ((1, 2), (2, 4)))
-    with pytest.raises(ValueError):
-        BasisMatrix(4, 2, ((1, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        BasisMatrix(3, 2, ((1, 0),))
-
-
 def test_standard_basis():
-    b = standard_basis_matrix(3, 2).to_multiset()
-    assert frozenset(b.coords()) == {(1, 0), (0, 1)}
+    assert standard_basis_matrix(3, 2) == ((1, 0), (0, 1))
 
 
 @given(st.integers(0, 2**32))
 @settings(max_examples=25)
 def test_random_basis_independent_and_deterministic(seed):
     m = random_basis_matrix(2, 3, seed)
-    assert rank_mod_p(m.rows, 2) == 3
-    assert random_basis_matrix(2, 3, seed).to_multiset() == m.to_multiset()
+    assert rank_mod_p(m, 2) == 3
+    assert random_basis_matrix(2, 3, seed) == m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_basis_is_the_first_spanning_draw(p, n):
+    """The draw stream: ``Random(seed)`` fills n x n entries row by row, and
+    the first draw whose rows span Z_p^n is the basis."""
+    for seed in range(20):
+        assert random_basis_matrix(p, n, seed) == naive_first_basis_draw(p, n, seed)
 
 
 def test_random_basis_ranks_each_draw_once(monkeypatch):
@@ -205,7 +207,7 @@ def test_random_basis_ranks_each_draw_once(monkeypatch):
         m = random_basis_matrix(2, 3, seed)
         # Every draw before the accepted one is singular, and none is ranked twice.
         assert [rank(rows, 2) == 3 for rows in ranked] == [False] * (len(ranked) - 1) + [True]
-        assert ranked[-1] == m.rows
+        assert ranked[-1] == m
 
 
 def test_enumerate_bases_counts():
@@ -223,7 +225,7 @@ def test_basis_power_identity(p, n):
     spec = vector_space_spec(p, n)
     bases = [standard_basis_matrix(p, n)] + [random_basis_matrix(p, n, seed) for seed in (0, 1)]
     for b in bases:
-        closure = subset_sums(b.to_multiset())
+        closure = subset_sums(ElementMultiset.from_coords(spec, b))
         assert is_cover(m_fold(closure, p - 1))
         if p == 2:
             assert closure.card == 2**n

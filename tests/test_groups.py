@@ -19,7 +19,6 @@ from sumsetlab.abelian import (
 )
 from sumsetlab.config import OrderCapError, order_cap, set_order_cap
 from sumsetlab.constructions import (
-    BasisMatrix,
     enumerate_bases,
     example1_family,
     example_A,
@@ -213,7 +212,6 @@ def _with_order_cap(value):
 _Z5 = GroupSpec((5,))
 _PAIR = GroupSet.from_indices(_Z5, [0, 1])
 _FULL = GroupSet.full(_Z5)
-_ROWS = ((1, 0), (0, 1))
 
 # Each public entry point with an integer parameter: a call that passes x
 # in that parameter's place, and a value the call accepts.
@@ -243,9 +241,6 @@ _INTEGER_PARAMETERS = {
     "example1_family.k": (lambda x: example1_family(3, x), 2),
     "verify_example1.p": (lambda x: verify_example1(x, 1), 3),
     "verify_example1.k": (lambda x: verify_example1(3, x), 2),
-    "BasisMatrix.p": (lambda x: BasisMatrix(x, 2, _ROWS), 3),
-    "BasisMatrix.n": (lambda x: BasisMatrix(3, x, _ROWS), 2),
-    "BasisMatrix.rows": (lambda x: BasisMatrix(3, 2, ((x, 0), (0, 1))), 2),
     "standard_basis_matrix.p": (lambda x: standard_basis_matrix(x, 2), 3),
     "standard_basis_matrix.n": (lambda x: standard_basis_matrix(3, x), 2),
     "random_basis_matrix.p": (lambda x: random_basis_matrix(x, 2, 0), 3),
