@@ -24,6 +24,9 @@ this process through ``sumsetlab.cli.run``:
   kernels must still run;
 * ``example1`` at (p, k) = (5, 2) and (3, 3), so that the half-zero family
   is pinned at more than one size;
+* ``sl2 info`` at p = 2, 3 and 5 and ``sl2 remark12`` at p = 5, so that
+  SL2's constants are pinned where D = (p - 1)/2 is 0 (p = 2, all null),
+  where it is 1 and no K exists (p = 3), and where K = 5 (p = 5);
 
 each once with ``--seed 0`` and once with ``--seed 1``.  Each run leaves one
 file in OUTDIR holding its exit code on the first line and then its JSON
@@ -82,6 +85,12 @@ EXAMPLE1_COMMANDS = [
     "example1 --p 5 --k 2",
     "example1 --p 3 --k 3",
 ]
+CONSTANTS_COMMANDS = [
+    "sl2 info --p 2",
+    "sl2 info --p 3",
+    "sl2 info --p 5",
+    "sl2 remark12 --p 5",
+]
 _WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
 
 
@@ -105,7 +114,7 @@ def main(outdir: Path) -> int:
         (outdir / name).write_text(json.dumps(payload), encoding="utf-8")
     commands = (
         readme_commands() + ABELIAN_COMMANDS + SL2_COMMANDS + PIGEONHOLE_COMMANDS
-        + EXAMPLE1_COMMANDS
+        + EXAMPLE1_COMMANDS + CONSTANTS_COMMANDS
     )
     lines = []
     cwd = os.getcwd()
