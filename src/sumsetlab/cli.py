@@ -218,14 +218,9 @@ def _basis(args) -> tuple[bool, dict]:
 
 def _sl2_info(args) -> tuple[bool, dict]:
     g = sl2_group(args.p)
-    report: dict = {"p": g.p, "order": g.order, "D": None, "delta": None, "K": None, "n_sets": None}
-    if g.p >= 3:
-        info = sl2.quasirandom_info(g.p)
-        report.update(D=info.D, delta=info.delta)
-        if info.delta > 0:
-            big_k = sl2.theorem4_bound(info.delta)
-            report.update(K=big_k, n_sets=3 * big_k)
-    return True, report
+    if g.p == 2:  # D = (p-1)/2 = 0: no constant is defined
+        return True, {"p": 2, "order": 6, "D": None, "delta": None, "K": None, "n_sets": None}
+    return True, sl2.quasirandom_info(g.p).to_dict()
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -33,7 +33,8 @@ other group with a ``ValueError``.
 Verified statements: the Ruzsa triangle inequality (with its
 representation-count proof on small instances), triple-product covering in
 quasirandom groups, the three-block square-root growth chain, and the
-twelve-set consequence for p >= 7.
+twelve-set consequence for p >= 7.  ``quasirandom_info`` is the one record
+of the constants these read: D, delta, and Theorem 4's K, found in integers.
 """
 
 from __future__ import annotations
@@ -428,12 +429,18 @@ def _line_blocks(g: SL2Group, iy: np.ndarray, step: int) -> Iterator[np.ndarray]
 
 
 def quasirandom_info(p: int) -> Report:
-    """D = (p-1)/2 from the Frobenius formula; G is N^delta-quasirandom
-    with N^delta = D."""
+    """SL2(Z_p)'s constants: D = (p-1)/2 from the Frobenius formula, so G is
+    N^delta-quasirandom with N^delta = D (``delta`` is for display), and
+    Theorem 4's K, the least K >= 1 with 2^K > 3/delta, that is with
+    D^(2^K) > N^3, found in integers (p divides N but not D, so the two
+    never tie).  ``n_sets`` = 3K.  At p = 3, D = 1 and both are null."""
     p = at_least(as_prime(p), 3, "p")  # D = (p-1)/2 would be 0 at p = 2
     n = p**3 - p
     d = (p - 1) // 2
-    return Report(p=p, order=n, D=d, delta=math.log(d) / math.log(n))
+    k = 1 if d > 1 else None
+    while k and d ** (2**k) <= n**3:
+        k += 1
+    return Report(p=p, order=n, D=d, delta=math.log(d) / math.log(n), K=k, n_sets=k and 3 * k)
 
 
 def _triple_product_info(g: SL2Group) -> Report:
@@ -606,7 +613,7 @@ def theorem4_trials(
     the order cap; zero trials draw no family.
     """
     g = sl2_group(p)
-    big_k = theorem4_bound(quasirandom_info(g.p).delta) if K is None else at_least(K, 1, "K")
+    big_k = _triple_product_info(g).K if K is None else at_least(K, 1, "K")
     check_density(density, "density")
     if trials:
         check_order(3 * big_k * g.order, f"a family of {3 * big_k} sets in SL2(Z_{g.p})")
@@ -619,30 +626,24 @@ def theorem4_trials(
 
 
 def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> Report:
-    """Evaluate the bound at p and, when it yields K=4, run 12-set trials:
-    at p >= 7 the bound gives K=4, so twelve hypothesis sets suffice.
+    """``quasirandom_info(p)``, extended by 12-set trials when its K is 4:
+    from p = 7 on D^16 > N^3, so twelve hypothesis sets suffice.
 
-    For p=5 the bound gives K=5, so the twelve-set statement is not implied;
-    the report says so and runs nothing.
+    At p = 5, K = 5, so the twelve-set statement is not implied; the
+    report says so and runs nothing.  p = 3, which has no K, is refused.
     """
     p, trials = _check_p(p), at_least(trials, 0, "trials")
     check_density(density, "density")
     info = quasirandom_info(p)  # rejects p < 3
-    if info.delta <= 0:
+    if info.K is None:
         raise ValueError(f"delta = 0 at p={p}: the bound is undefined")
-    big_k = theorem4_bound(info.delta)
-    applies = big_k == 4
+    applies = info.K == 4
     trials_passed: list[bool] = []
     if applies:
         results = theorem4_trials(p, trials, seed, K=4, density=density)
         trials_passed = [r.passed for r in results]
     return Report(
-        p=p,
-        order=info.order,
-        D=info.D,
-        delta=info.delta,
-        K=big_k,
-        n_sets=3 * big_k,
+        **vars(info),
         applies=applies,
         trials=trials if applies else 0,
         trials_passed=trials_passed,

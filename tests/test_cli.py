@@ -324,6 +324,14 @@ def test_remark12_negative_trials_is_usage_error(capsys):
         assert "trials must be >= 0" in captured.err
 
 
+def test_theorem4_at_p3_is_refused_with_or_without_K(capsys):
+    """p = 3 has no K: the default K and an explicit one are refused alike."""
+    for extra in ([], ["--K", "1", "--trials", "1"]):
+        assert cli.run(["sl2", "theorem4", "--p", "3", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "sumsetlab: error: p must be >= 5, got 3\n"
+
+
 def test_sl2_info(capsys):
     code, rep = run_json(capsys, ["sl2", "info", "--p", "11"])
     assert code == 0

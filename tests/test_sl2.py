@@ -834,12 +834,17 @@ def test_theorem4_bound_values():
 
 def test_theorem4_bound_matches_integer_oracle():
     """The plain floor of log2(3/delta), plus one, is the least K with
-    D^(2^K) > N^3 at every prime 5 <= p < 2000."""
+    D^(2^K) > N^3 at every prime 5 <= p < 2000, and so is the record's
+    integer K; at p = 3, where D = 1, the record has no K."""
     primes = [p for p in range(5, 2000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     assert len(primes) == 301
     for p in primes:
         info = quasirandom_info(p)
-        assert theorem4_bound(info.delta) == integer_theorem4_k(info.D, info.order), p
+        k = integer_theorem4_k(info.D, info.order)
+        assert info.K == k and theorem4_bound(info.delta) == k, p
+        assert info.n_sets == 3 * k, p
+    info3 = quasirandom_info(3)
+    assert info3.K is None and info3.n_sets is None
 
 
 _BIG_PRIME = 1_000_000_000_000_000_003
@@ -1006,6 +1011,14 @@ def test_remark12_p5_not_implied():
     assert not rep.applies and rep.K == 5
     assert rep.trials == 0 and rep.trials_passed == []
     assert rep.passed
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_remark12_extends_the_constants_record(p):
+    """remark12's report starts with ``quasirandom_info(p)``, keys in order."""
+    info = quasirandom_info(p).to_dict()
+    rep = remark12(p, trials=0).to_dict()
+    assert list(rep.items())[: len(info)] == list(info.items())
 
 
 def test_remark12_small_p_rejected():
