@@ -232,8 +232,9 @@ def run(argv: list[str] | None = None) -> int:
     command = args.command
     if command == "sl2":
         command = f"sl2-{args.sl2_command}"
-    cap = order_cap()
+    cap = None
     try:
+        cap = order_cap()  # a bad $SUMSETLAB_ORDER_CAP is refused here
         if args.order_cap is not None:
             set_order_cap(args.order_cap)
         start = time.perf_counter()
@@ -247,11 +248,12 @@ def run(argv: list[str] | None = None) -> int:
         )
         sys.stdout.write(render(envelope, args.output))
         return 0 if passed else 1
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"sumsetlab: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print(f"sumsetlab: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     finally:
-        set_order_cap(cap)
+        if cap is not None:
+            set_order_cap(cap)
 
 
 def main() -> None:

@@ -25,10 +25,13 @@ def _cap_from_env() -> int:
     return value
 
 
-_order_cap = _cap_from_env()
+_order_cap: int | None = None  # read from the environment on first use, not on import
 
 
 def order_cap() -> int:
+    global _order_cap
+    if _order_cap is None:
+        _order_cap = _cap_from_env()
     return _order_cap
 
 
@@ -42,11 +45,11 @@ def set_order_cap(value: int) -> None:
 
 def _refuse(what: str, count: str) -> OrderCapError:
     fix = f"raise it with set_order_cap() or ${ENV_ORDER_CAP}"
-    return OrderCapError(f"{what} has {count} elements, above the cap of {_order_cap}; {fix}")
+    return OrderCapError(f"{what} has {count} elements, above the cap of {order_cap()}; {fix}")
 
 
 def check_order(order: int, what: str) -> None:
-    if order > _order_cap:
+    if order > order_cap():
         raise _refuse(what, str(order))
 
 
@@ -54,7 +57,7 @@ def check_doubling(p: int, level: int) -> None:
     """Refuse ``Z_p^(2^level)`` without forming ``2 ** level``: its order is
     at least ``2^(2^level)``, so it is above the cap once ``2^level`` passes
     the cap's bit length.  Smaller levels are left to ``check_powers``."""
-    if level >= _order_cap.bit_length().bit_length():
+    if level >= order_cap().bit_length().bit_length():
         raise _refuse(f"Z{p}^(2^{level}) (p = {p}, level {level})", f"at least 2^(2^{level})")
 
 
@@ -62,11 +65,11 @@ def check_powers(terms: list[tuple[int, int]], what: str) -> None:
     """Refuse a product of powers ``d ** e`` above the cap without forming it:
     one exact running product stops as soon as it passes the cap, so at most
     about log2(cap) multiplications run, whatever the exponents."""
-    order = 1
+    order, cap = 1, order_cap()
     for d, e in terms:
         if d < 2:  # before the loop, which would never pass the cap
             raise ValueError(f"cyclic factor must be >= 2, got {d}")
         for _ in range(e):
             order *= d
-            if order > _order_cap:
+            if order > cap:
                 raise _refuse(what, f"at least {order}")

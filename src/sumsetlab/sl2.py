@@ -153,7 +153,8 @@ class SL2Group:
         return list(zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()))
 
     def element(self, i: int) -> tuple[int, int, int, int]:
-        return self.elements[check_index(self, i)]
+        i = check_index(self, i)  # from the rows: ``elements`` builds every element's tuple
+        return (*divmod(int(self._row1[i]), self.p), *divmod(int(self._row2[i]), self.p))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SL2Group) and other.p == self.p

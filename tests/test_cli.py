@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import naive_first_basis_draw, naive_subset_sums
-from sumsetlab import cli
+from sumsetlab import cli, sl2
 from sumsetlab.config import order_cap, set_order_cap
 from sumsetlab.groups import parse_group_spec
 from sumsetlab.setops import GroupSet, set_to_json
@@ -145,6 +145,47 @@ def test_order_cap_env_var():
     )
     assert proc.returncode == 2
     assert "cap" in proc.stderr
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "SUMSETLAB_ORDER_CAP must be an integer, got 'abc'"),
+    ("1", "SUMSETLAB_ORDER_CAP must be >= 2, got 1"),
+])
+def test_bad_order_cap_env_var_is_usage_error(value, message):
+    """A bad cap in the environment fails the run with exit 2 and one line,
+    as a bad ``--order-cap`` does; ``--help`` and ``import`` still work."""
+    env = dict(os.environ, SUMSETLAB_ORDER_CAP=value)
+    runs = {
+        "run": ["-m", "sumsetlab.cli", "sl2", "info", "--p", "5"],
+        "help": ["-m", "sumsetlab.cli", "--help"],
+        "import": ["-c", "import sumsetlab"],
+    }
+    procs = {
+        name: subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        for name, argv in runs.items()
+    }
+    assert procs["run"].returncode == 2
+    assert procs["run"].stdout == ""
+    assert procs["run"].stderr == f"sumsetlab: error: {message}\n"
+    assert procs["help"].returncode == 0 and procs["help"].stderr == ""
+    assert procs["import"].returncode == 0 and procs["import"].stderr == ""
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 492. MiB"), "Unable to allocate 492. MiB"),
+    (MemoryError(), "MemoryError"),
+])
+def test_memory_error_is_usage_error(error, line, monkeypatch, capsys):
+    """A run that runs out of memory exits 2 with one line, not 1 with a
+    traceback: exit 1 means that a mathematical check failed."""
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(sl2, "gowers_trials", exhausted)
+    assert cli.run(["sl2", "gowers", "--p", "5", "--size", "10", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"sumsetlab: error: {line}\n"
 
 
 def test_seeded_runs_never_import_numpy_random():

@@ -750,6 +750,29 @@ def test_element_multiset_refuses_sl2_groups(make):
         make(sl2_group(5))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_element_matches_elements(p):
+    g = SL2Group(p)
+    assert [g.element(i) for i in range(g.order)] == g.elements
+    assert all(type(v) is int for v in g.element(g.order - 1))
+
+
+def test_element_lookup_builds_no_element_list():
+    """Reading two elements of a set file, and their coordinates back, costs
+    about the order in bytes (the set's mask), not a tuple per element: at
+    p = 53 the element list alone would take about 15 MiB."""
+    g = SL2Group(53)
+    tracemalloc.start()
+    try:
+        s = set_from_json(g, {"elements": [[1, 0, 0, 1], [0, 1, 52, 0]]})
+        assert s.coords() == [(0, 1, 52, 0), (1, 0, 0, 1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * g.order
+    assert "elements" not in vars(g)
+
+
 @pytest.mark.parametrize("i", [-1, 120])
 def test_element_refuses_indices_outside_the_group(i):
     g = sl2_group(5)
@@ -1011,14 +1034,6 @@ def test_remark12_p5_not_implied():
     assert not rep.applies and rep.K == 5
     assert rep.trials == 0 and rep.trials_passed == []
     assert rep.passed
-
-
-@pytest.mark.parametrize("p", [5, 7, 11])
-def test_remark12_extends_the_constants_record(p):
-    """remark12's report starts with ``quasirandom_info(p)``, keys in order."""
-    info = quasirandom_info(p).to_dict()
-    rep = remark12(p, trials=0).to_dict()
-    assert list(rep.items())[: len(info)] == list(info.items())
 
 
 def test_remark12_small_p_rejected():
