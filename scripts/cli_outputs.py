@@ -26,7 +26,9 @@ this process through ``sumsetlab.cli.run``:
   is pinned at more than one size;
 * ``sl2 info`` at p = 2, 3 and 5 and ``sl2 remark12`` at p = 5, so that
   SL2's constants are pinned where D = (p - 1)/2 is 0 (p = 2, all null),
-  where it is 1 and no K exists (p = 3), and where K = 5 (p = 5);
+  where it is 1 and no K exists (p = 3), and where K = 5 (p = 5), and
+  ``sl2 remark12 --p 7 --trials 0``, where the twelve-set statement
+  applies but no trial runs;
 
 each once with ``--seed 0`` and once with ``--seed 1``.  Each run leaves one
 file in OUTDIR holding its exit code on the first line and then its JSON
@@ -90,6 +92,7 @@ CONSTANTS_COMMANDS = [
     "sl2 info --p 3",
     "sl2 info --p 5",
     "sl2 remark12 --p 5",
+    "sl2 remark12 --p 7 --trials 0",
 ]
 _WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
 

@@ -49,8 +49,8 @@ def test_cli_outputs_writes_masked_envelopes(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == DIGESTS.read_text(encoding="utf-8")
     outputs = sorted(tmp_path.glob("*-seed[01].txt"))
     # 11 README commands, 4 Abelian, 8 SL2, 3 pigeonhole-bound, 2 example1 and
-    # 4 SL2-constants runs, at two seeds
-    assert len(outputs) == 64
+    # 5 SL2-constants runs, at two seeds
+    assert len(outputs) == 66
     for out in outputs:
         code, envelope = out.read_text(encoding="utf-8").split("\n", 1)
         assert code == "0"
