@@ -30,7 +30,6 @@ from .config import order_cap, set_order_cap
 from .groups import parse_group_spec, vector_space_spec
 from .reports import Report, render
 from .setops import set_from_json, set_to_json, sumset
-from .sl2 import sl2_group
 
 
 def load_set(path: str, spec: Any):
@@ -115,7 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sl2sub.add_parser("info", help="order, D, delta, and the block-count bound")
     p.add_argument("--p", required=True, type=int)
     _common(p)
-    p.set_defaults(run=_sl2_info, config=("p",))
+    p.set_defaults(
+        run=lambda a: (True, sl2.quasirandom_info(sl2._check_p(a.p)).to_dict()), config=("p",)
+    )
 
     p = sl2sub.add_parser("ruzsa", help="triangle inequality trials")
     p.add_argument("--p", required=True, type=int)
@@ -214,13 +215,6 @@ def _basis(args) -> tuple[bool, dict]:
         "closure_card": closure_card,
         "is_additive_basis": closure_card == args.p**args.n,
     }
-
-
-def _sl2_info(args) -> tuple[bool, dict]:
-    g = sl2_group(args.p)
-    if g.p == 2:  # D = (p-1)/2 = 0: no constant is defined
-        return True, {"p": 2, "order": 6, "D": None, "delta": None, "K": None, "n_sets": None}
-    return True, sl2.quasirandom_info(g.p).to_dict()
 
 
 def run(argv: list[str] | None = None) -> int:

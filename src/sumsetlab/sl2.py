@@ -430,18 +430,21 @@ def _line_blocks(g: SL2Group, iy: np.ndarray, step: int) -> Iterator[np.ndarray]
 
 
 def quasirandom_info(p: int) -> Report:
-    """SL2(Z_p)'s constants: D = (p-1)/2 from the Frobenius formula, so G is
-    N^delta-quasirandom with N^delta = D (``delta`` is for display), and
-    Theorem 4's K, the least K >= 1 with 2^K > 3/delta, that is with
-    D^(2^K) > N^3, found in integers (p divides N but not D, so the two
-    never tie).  ``n_sets`` = 3K.  At p = 3, D = 1 and both are null."""
-    p = at_least(as_prime(p), 3, "p")  # D = (p-1)/2 would be 0 at p = 2
-    n = p**3 - p
-    d = (p - 1) // 2
+    """SL2(Z_p)'s constants, for any prime p, from integers of p alone (no
+    group is built and the order cap is not read): the order N = p^3 - p,
+    D = (p-1)/2 from the Frobenius formula, so G is N^delta-quasirandom
+    with N^delta = D (``delta`` is for display), and Theorem 4's K, the
+    least K >= 1 with 2^K > 3/delta, that is with D^(2^K) > N^3, found in
+    integers (p divides N but not D, so the two never tie).  ``n_sets`` =
+    3K.  At p = 3, D = 1 and K and ``n_sets`` are null; at p = 2, D = 0
+    and every constant is null."""
+    p = as_prime(p)
+    n, d = p**3 - p, (p - 1) // 2
     k = 1 if d > 1 else None
     while k and d ** (2**k) <= n**3:
         k += 1
-    return Report(p=p, order=n, D=d, delta=math.log(d) / math.log(n), K=k, n_sets=k and 3 * k)
+    delta = math.log(d) / math.log(n) if d else None
+    return Report(p=p, order=n, D=d or None, delta=delta, K=k, n_sets=k and 3 * k)
 
 
 def _triple_product_info(g: SL2Group) -> Report:
@@ -631,16 +634,18 @@ def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> R
     from p = 7 on D^16 > N^3, so twelve hypothesis sets suffice.
 
     At p = 5, K = 5, so the twelve-set statement is not implied; the
-    report says so and runs nothing.  p = 3, which has no K, is refused.
+    report says so and runs nothing.  p = 2 and p = 3, which have no K,
+    are refused.  The group is built only when trials run, so zero trials
+    build none.
     """
     p, trials = _check_p(p), at_least(trials, 0, "trials")
     check_density(density, "density")
-    info = quasirandom_info(p)  # rejects p < 3
+    info = quasirandom_info(at_least(p, 3, "p"))
     if info.K is None:
         raise ValueError(f"delta = 0 at p={p}: the bound is undefined")
     applies = info.K == 4
     trials_passed: list[bool] = []
-    if applies:
+    if applies and trials:
         results = theorem4_trials(p, trials, seed, K=4, density=density)
         trials_passed = [r.passed for r in results]
     return Report(

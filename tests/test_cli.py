@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,6 +381,45 @@ def test_sl2_info(capsys):
     assert rep["report"]["D"] == 5
     assert rep["report"]["K"] == 4
     assert "table_built" not in rep["report"]
+
+
+def test_sl2_info_builds_no_group(capsys, monkeypatch):
+    """``sl2 info`` checks p against the cap and for primality, then prints
+    integers of p: no group enters the cache, no ``SL2Group`` is
+    constructed, and at p = 101, whose group holds about 36 MiB, the run
+    traces well under 1 MiB once the parser is built."""
+    assert cli.run(["sl2", "info", "--p", "7"]) == 0  # builds the parser
+    capsys.readouterr()
+    sl2._cached_group.cache_clear()
+
+    def no_build(self, p):
+        raise AssertionError(f"SL2Group({p}) was constructed")
+
+    monkeypatch.setattr(sl2.SL2Group, "__init__", no_build)
+    tracemalloc.start()
+    try:
+        code = cli.run(["sl2", "info", "--p", "101"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1 << 20
+    assert sl2._cached_group.cache_info().currsize == 0
+    assert json.loads(capsys.readouterr().out)["report"] == {
+        "p": 101, "order": 1030200, "D": 50, "delta": pytest.approx(0.2826, abs=1e-4),
+        "K": 4, "n_sets": 12,
+    }
+
+
+def test_sl2_info_refusals(capsys):
+    """p is checked as ``sl2_group`` checks it: the cap, then primality."""
+    assert cli.run(["sl2", "info", "--p", "9"]) == 2
+    assert capsys.readouterr() == ("", "sumsetlab: error: p must be prime, got 9\n")
+    assert cli.run(["sl2", "info", "--p", "1009"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "sumsetlab: error: SL2 group order has 1027242720 elements, above the cap of "
+        f"{order_cap()}; raise it with set_order_cap() or $SUMSETLAB_ORDER_CAP\n",
+    )
 
 
 def test_kpn_exact(capsys):

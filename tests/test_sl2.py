@@ -792,8 +792,10 @@ def test_quasirandom_info_values():
     assert info5.D == 2 and info5.delta == pytest.approx(0.14478, abs=1e-4)
     info3 = quasirandom_info(3)
     assert info3.D == 1 and info3.delta == 0.0
-    with pytest.raises(ValueError):
-        quasirandom_info(2)
+    info2 = quasirandom_info(2).to_dict()  # D = 0: every constant is null, keys in order
+    assert list(info2.items()) == [
+        ("p", 2), ("order", 6), ("D", None), ("delta", None), ("K", None), ("n_sets", None)
+    ]
     with pytest.raises(ValueError):
         quasirandom_info(6)
 
@@ -891,8 +893,8 @@ def test_small_p_errors_unchanged():
             SL2Group(p)
         with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
             remark12(p, trials=0)
-    with pytest.raises(ValueError, match="p must be >= 3"):
-        quasirandom_info(2)
+    with pytest.raises(ValueError, match="^p must be >= 3, got 2$"):
+        remark12(2, trials=0)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,6 +1036,28 @@ def test_remark12_p5_not_implied():
     assert not rep.applies and rep.K == 5
     assert rep.trials == 0 and rep.trials_passed == []
     assert rep.passed
+
+
+def test_remark12_without_trials_builds_no_group(monkeypatch):
+    """Zero trials need only the integers of ``quasirandom_info``: no group
+    enters the cache, no ``SL2Group`` is constructed, and at p = 101, whose
+    group holds about 36 MiB, the call traces well under 1 MiB."""
+    remark12(7, trials=0)  # warm-up
+    sl2._cached_group.cache_clear()
+
+    def no_build(self, p):
+        raise AssertionError(f"SL2Group({p}) was constructed")
+
+    monkeypatch.setattr(SL2Group, "__init__", no_build)
+    tracemalloc.start()
+    try:
+        rep = remark12(101, trials=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.applies and rep.trials == 0 and rep.trials_passed == [] and rep.passed
+    assert peak < 1 << 20
+    assert sl2._cached_group.cache_info().currsize == 0
 
 
 def test_remark12_small_p_rejected():
