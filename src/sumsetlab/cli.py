@@ -13,7 +13,8 @@ it resolves (``theorem1``'s default ``K``) is recorded.
 parser is built on the first call and reused by every later one; each run
 still restores the order cap that ``--order-cap`` changed for it.
 ``kpn --budget`` and ``--k-max`` must be at least 1, since a search that
-checks no tuple has no evidence for its least k.
+checks no tuple has no evidence for its least k.  ``sl2 info`` checks p as
+``sl2_group`` does (the cap, then primality) but builds no group.
 """
 
 from __future__ import annotations

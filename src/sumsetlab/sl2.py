@@ -430,14 +430,12 @@ def _line_blocks(g: SL2Group, iy: np.ndarray, step: int) -> Iterator[np.ndarray]
 
 
 def quasirandom_info(p: int) -> Report:
-    """SL2(Z_p)'s constants, for any prime p, from integers of p alone (no
-    group is built and the order cap is not read): the order N = p^3 - p,
-    D = (p-1)/2 from the Frobenius formula, so G is N^delta-quasirandom
-    with N^delta = D (``delta`` is for display), and Theorem 4's K, the
-    least K >= 1 with 2^K > 3/delta, that is with D^(2^K) > N^3, found in
-    integers (p divides N but not D, so the two never tie).  ``n_sets`` =
-    3K.  At p = 3, D = 1 and K and ``n_sets`` are null; at p = 2, D = 0
-    and every constant is null."""
+    """SL2(Z_p)'s constants, read from p with no group built: D = (p-1)/2
+    from the Frobenius formula, so G is N^delta-quasirandom with N^delta = D
+    (``delta`` is for display), and Theorem 4's K, the least K >= 1 with
+    2^K > 3/delta, that is with D^(2^K) > N^3, found in integers (p divides
+    N but not D, so the two never tie).  ``n_sets`` = 3K.  At p = 3, D = 1
+    and both are null; at p = 2, D = 0 and every constant is null."""
     p = as_prime(p)
     n, d = p**3 - p, (p - 1) // 2
     k = 1 if d > 1 else None
@@ -634,9 +632,8 @@ def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> R
     from p = 7 on D^16 > N^3, so twelve hypothesis sets suffice.
 
     At p = 5, K = 5, so the twelve-set statement is not implied; the
-    report says so and runs nothing.  p = 2 and p = 3, which have no K,
-    are refused.  The group is built only when trials run, so zero trials
-    build none.
+    report says so and runs nothing.  p = 2 and 3, which have no K, are
+    refused.  Zero trials build no group.
     """
     p, trials = _check_p(p), at_least(trials, 0, "trials")
     check_density(density, "density")
