@@ -2,8 +2,9 @@
 
 Each script runs in process on a small input, as ``python scripts/<name>``
 would run it, and must exit 0.  The experiment scripts must print their
-table header; ``cli_outputs.py`` must write one masked envelope per run,
-and its digests must match ``tests/cli_outputs.sha256``.
+table header, and the growth profile must take its worst ratio only over
+steps that end below G; ``cli_outputs.py`` must write one masked envelope
+per run, and its digests must match ``tests/cli_outputs.sha256``.
 """
 
 import json
@@ -41,6 +42,28 @@ def test_script_runs(script, args, header, monkeypatch, capsys):
     assert _run(script, args, monkeypatch) == 0
     lines = capsys.readouterr().out.splitlines()
     assert header in [line.split() for line in lines]
+
+
+def _profile_rows(args, monkeypatch, capsys):
+    """``covering_growth_profile.py``'s rows, as density -> worst-ratio column."""
+    assert _run("covering_growth_profile.py", args, monkeypatch) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    return {row[0]: row[1] for row in rows if len(row) == 4 and row[0][0].isdigit()}
+
+
+def test_growth_profile_ratio_only_over_steps_below_G(monkeypatch, capsys):
+    """A step that ends at G meets the bound trivially, so it sets no ratio.
+    On Z3^4 at m = 2 every step ends at G and no ratio prints; at m = 3 and
+    density 0.2 some steps end below G, with slack above 1."""
+    rows = _profile_rows(["--trials", "2"], monkeypatch, capsys)
+    assert len(rows) == 5 and set(rows.values()) == {"none"}
+    rows = _profile_rows(
+        ["--group", "Z3^4", "--m", "3", "--trials", "5", "--densities", "0.2", "0.9"],
+        monkeypatch,
+        capsys,
+    )
+    assert sorted(rows) == ["0.20", "0.90"] and "1.0000" not in rows.values()
+    assert float(rows["0.20"]) > 1
 
 
 def test_cli_outputs_writes_masked_envelopes(tmp_path, monkeypatch, capsys):
