@@ -5,7 +5,9 @@ For each prime the table lists the group order, the minimal nontrivial
 representation dimension D, the quasirandomness exponent delta, the block
 count K from the covering bound, and 3K, the number of sets whose product
 is forced to cover the group.  With --trials > 0 the seeded twelve-set
-experiment is run wherever the bound gives K = 4.
+experiment is run wherever the bound gives K = 4; --trials 0 prints the
+table without building any group (p is still checked against the order
+cap).
 """
 
 import argparse
