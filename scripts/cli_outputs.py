@@ -29,6 +29,8 @@ this process through ``sumsetlab.cli.run``:
   where it is 1 and no K exists (p = 3), and where K = 5 (p = 5), and
   ``sl2 remark12 --p 7 --trials 0``, where the twelve-set statement
   applies but no trial runs;
+* ``sl2 theorem4``, ``sl2 gowers`` and ``sl2 ruzsa`` at p = 13 with
+  ``--trials 0``, which print an empty trial list;
 
 each once with ``--seed 0`` and once with ``--seed 1``.  Each run leaves one
 file in OUTDIR holding its exit code on the first line and then its JSON
@@ -94,6 +96,11 @@ CONSTANTS_COMMANDS = [
     "sl2 remark12 --p 5",
     "sl2 remark12 --p 7 --trials 0",
 ]
+ZERO_TRIAL_COMMANDS = [
+    "sl2 theorem4 --p 13 --trials 0",
+    "sl2 gowers --p 13 --size 600 --trials 0",
+    "sl2 ruzsa --p 13 --trials 0",
+]
 _WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
 
 
@@ -117,7 +124,7 @@ def main(outdir: Path) -> int:
         (outdir / name).write_text(json.dumps(payload), encoding="utf-8")
     commands = (
         readme_commands() + ABELIAN_COMMANDS + SL2_COMMANDS + PIGEONHOLE_COMMANDS
-        + EXAMPLE1_COMMANDS + CONSTANTS_COMMANDS
+        + EXAMPLE1_COMMANDS + CONSTANTS_COMMANDS + ZERO_TRIAL_COMMANDS
     )
     lines = []
     cwd = os.getcwd()

@@ -71,9 +71,9 @@ def test_cli_outputs_writes_masked_envelopes(tmp_path, monkeypatch, capsys):
     # A deliberate output change regenerates the digest file (see the script).
     assert capsys.readouterr().out == DIGESTS.read_text(encoding="utf-8")
     outputs = sorted(tmp_path.glob("*-seed[01].txt"))
-    # 11 README commands, 4 Abelian, 8 SL2, 3 pigeonhole-bound, 2 example1 and
-    # 5 SL2-constants runs, at two seeds
-    assert len(outputs) == 66
+    # 11 README commands, 4 Abelian, 8 SL2, 3 pigeonhole-bound, 2 example1,
+    # 5 SL2-constants and 3 zero-trial SL2 runs, at two seeds
+    assert len(outputs) == 72
     for out in outputs:
         code, envelope = out.read_text(encoding="utf-8").split("\n", 1)
         assert code == "0"

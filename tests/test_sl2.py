@@ -1010,6 +1010,58 @@ def test_theorem4_validation():
         verify_theorem4([full, full, SL2Set.empty(g5)])
 
 
+_CAP = (
+    "SL2 group order has 1027242720 elements, above the cap of 67108864; "
+    "raise it with set_order_cap() or $SUMSETLAB_ORDER_CAP"
+)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: gowers_trials(13, 3000, 0, 0), "size 3000 out of range [0, 2184]"),
+        (lambda: gowers_trials(13, -1, 0, 0), "size -1 out of range [0, 2184]"),
+        (
+            lambda: gowers_trials(13, 1.5, 0, 0),
+            "size 1.5 for SL2Group(p=13, order=2184) is not an integer",
+        ),
+        (lambda: gowers_trials(9, 1.5, 0, 0), "p must be prime, got 9"),
+        (lambda: gowers_trials(1009, 10, 0, 0), _CAP),
+        (lambda: gowers_trials(13, 3000, -1, 0), "size 3000 out of range [0, 2184]"),
+        (lambda: gowers_trials(13, 10, -1, 0), "trials must be >= 0, got -1"),
+        (lambda: theorem4_trials(13, 0, 0, density=2), "density must be in (0, 1], got 2"),
+        (lambda: theorem4_trials(13, 0, 0, K=0, density=2), "K must be >= 1, got 0"),
+        (lambda: theorem4_trials(13, 0, 0, K=1.5), "K 1.5 is not an integer"),
+        (lambda: theorem4_trials(3, 0, 0), "p must be >= 5, got 3"),
+        (lambda: theorem4_trials(9, 0, 0, K=0), "p must be prime, got 9"),
+        (lambda: theorem4_trials(1009, 0, 0, K=0), _CAP),
+        (lambda: theorem4_trials(13, -1, 0), "trials must be >= 0, got -1"),
+        (
+            lambda: theorem4_trials(13, -1, 0, K=10**8),
+            "a family of 300000000 sets in SL2(Z_13) has 655200000000 elements, above "
+            "the cap of 67108864; raise it with set_order_cap() or $SUMSETLAB_ORDER_CAP",
+        ),
+        (lambda: ruzsa_trials(9, -1, 0), "p must be prime, got 9"),
+        (lambda: ruzsa_trials(1009, 0, 0), _CAP),
+        (lambda: ruzsa_trials(13.0, 0, 0), "p 13.0 is not an integer"),
+        (lambda: ruzsa_trials(13, -1, 0), "trials must be >= 0, got -1"),
+        (lambda: ruzsa_trials(13, 1.5, 0), "trials 1.5 is not an integer"),
+    ],
+)
+def test_trial_runner_refusals_at_zero_trials(call, message):
+    """Each runner refuses a bad p, size, density, K or trial count with
+    the same message, checked in the same order, whether or not a trial
+    would run."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_trial_runners_accept_zero_trials():
+    assert theorem4_trials(3, 0, 0, K=1) == []
+    assert theorem4_trials(13, 0, 0, K=10**8) == []
+    assert gowers_trials(2, 0, 0, 0) == [] and ruzsa_trials(2, 0, 0) == []
+
+
 def test_remark12_p7():
     rep = remark12(7, trials=3, seed=0)
     assert rep.applies and rep.K == 4 and rep.n_sets == 12
