@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -445,10 +445,10 @@ def quasirandom_info(p: int) -> Report:
     return Report(p=p, order=n, D=d or None, delta=delta, K=k, n_sets=k and 3 * k)
 
 
-def _triple_product_info(g: SL2Group) -> Report:
-    """``quasirandom_info`` of ``g``, refused below p = 5, where D = 1 and
-    the triple-product step claims nothing."""
-    return quasirandom_info(at_least(g.p, 5, "p"))
+def _triple_product_info(p: int) -> Report:
+    """``quasirandom_info(p)``, refused below p = 5, where D = 1 and the
+    triple-product step claims nothing."""
+    return quasirandom_info(at_least(p, 5, "p"))
 
 
 def check_gowers(a: GroupSet, b: GroupSet, c: GroupSet) -> Report:
@@ -458,7 +458,7 @@ def check_gowers(a: GroupSet, b: GroupSet, c: GroupSet) -> Report:
     _same_spec(a.group, b.group)
     _same_spec(a.group, c.group)
     g = _require_sl2(a.group)
-    info = _triple_product_info(g)
+    info = _triple_product_info(g.p)
     triple = a.card * b.card * c.card
     premise = triple * info.D > g.order**3
     abc = product_set(product_set(a, b), c)
@@ -526,7 +526,7 @@ def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None
     )
     g = family[0].group
     n = g.order
-    info = _triple_product_info(g)
+    info = _triple_product_info(g.p)
     floor = n ** (1.0 - info.delta / 3.0)
     blocks = [
         {
@@ -576,8 +576,16 @@ def sample_hypothesis_set(group: SL2Group, rng: random.Random, density: float = 
     )
 
 
+def _group_for(p: int, trials: int) -> SL2Group | None:
+    """SL2(Z_p) once ``trials`` is checked, or ``None`` for zero trials,
+    which build no group."""
+    return sl2_group(p) if at_least(trials, 0, "trials") else None
+
+
 def ruzsa_trials(p: int, trials: int, seed: int) -> list[Report]:
-    g = sl2_group(p)
+    """Check the Ruzsa triangle on ``trials`` triples of random sets, each
+    of a uniform size in [1, |G|].  Zero trials build no group."""
+    g = _group_for(_check_p(p), trials)
 
     def one(rng: random.Random) -> Report:
         a = random_sl2_set(g, rng.randint(1, g.order), rng)
@@ -588,9 +596,22 @@ def ruzsa_trials(p: int, trials: int, seed: int) -> list[Report]:
     return map_trials(one, trials, seed)
 
 
+class _Unbuilt(NamedTuple):
+    """SL2(Z_p) as ``check_size`` reads it, its order and its name, with no
+    group built."""
+
+    p: int
+    order: int
+
+    __repr__ = SL2Group.__repr__
+
+
 def gowers_trials(p: int, size: int, trials: int, seed: int) -> list[Report]:
-    g = sl2_group(p)
-    size = check_size(g, size)
+    """Check triple-product covering on ``trials`` triples of random sets
+    of ``size`` elements.  Zero trials build no group."""
+    p = _check_p(p)
+    size = check_size(_Unbuilt(p, p**3 - p), size)
+    g = _group_for(p, trials)
 
     def one(rng: random.Random) -> Report:
         sets = [random_sl2_set(g, size, rng) for _ in range(3)]
@@ -612,13 +633,14 @@ def theorem4_trials(
     every hypothesis verdict is already known to hold and the chain does
     not test it again.  The density is checked before any trial, and so is
     the size of the family that each trial draws, 3K * |G| elements, against
-    the order cap; zero trials draw no family.
+    the order cap; zero trials draw no family and build no group.
     """
-    g = sl2_group(p)
-    big_k = _triple_product_info(g).K if K is None else at_least(K, 1, "K")
+    p = _check_p(p)
+    big_k = _triple_product_info(p).K if K is None else at_least(K, 1, "K")
     check_density(density, "density")
     if trials:
-        check_order(3 * big_k * g.order, f"a family of {3 * big_k} sets in SL2(Z_{g.p})")
+        check_order(3 * big_k * (p**3 - p), f"a family of {3 * big_k} sets in SL2(Z_{p})")
+    g = _group_for(p, trials)
 
     def one(rng: random.Random) -> Report:
         sets = [sample_hypothesis_set(g, rng, density) for _ in range(3 * big_k)]

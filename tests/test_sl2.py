@@ -1056,6 +1056,33 @@ def test_trial_runner_refusals_at_zero_trials(call, message):
         call()
 
 
+def test_zero_trial_runners_build_no_group(monkeypatch):
+    """Zero trials need only p, the order and the size: no group enters
+    the cache, no ``SL2Group`` is constructed, and at p = 101, whose group
+    holds about 36 MiB, each call traces well under 1 MiB."""
+    for run in (ruzsa_trials, gowers_trials, theorem4_trials):
+        run(7, *([10] if run is gowers_trials else []), 0, 0)  # warm-up
+    sl2._cached_group.cache_clear()
+
+    def no_build(self, p):
+        raise AssertionError(f"SL2Group({p}) was constructed")
+
+    monkeypatch.setattr(SL2Group, "__init__", no_build)
+    for call in (
+        lambda: ruzsa_trials(101, 0, 0),
+        lambda: gowers_trials(101, 600, 0, 0),
+        lambda: theorem4_trials(101, 0, 0),
+    ):
+        tracemalloc.start()
+        try:
+            assert call() == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    assert sl2._cached_group.cache_info().currsize == 0
+
+
 def test_trial_runners_accept_zero_trials():
     assert theorem4_trials(3, 0, 0, K=1) == []
     assert theorem4_trials(13, 0, 0, K=10**8) == []
