@@ -7,7 +7,9 @@ count K from the covering bound, and 3K, the number of sets whose product
 is forced to cover the group.  With --trials > 0 the seeded twelve-set
 experiment is run wherever the bound gives K = 4; --trials 0 prints the
 table without building any group (p is still checked against the order
-cap).
+cap).  A refused prime (one that is not prime, or whose group is above the
+order cap) ends the table with one ``remark12_sweep.py: error: ...`` line
+on stderr and exit status 2, as the command line does.
 """
 
 import argparse
@@ -27,7 +29,10 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for p in args.primes:
-        rep = remark12(p, trials=args.trials, seed=args.seed, density=args.density)
+        try:
+            rep = remark12(p, trials=args.trials, seed=args.seed, density=args.density)
+        except ValueError as exc:
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
         outcome = f"{sum(rep.trials_passed)}/{rep.trials} pass" if rep.applies else "n/a (K > 4)"
         print(
             f"{p:>4} {rep.order:>7} {rep.D:>3} {rep.delta:8.5f} {rep.K:>3} {rep.n_sets:>3}"

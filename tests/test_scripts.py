@@ -3,7 +3,8 @@
 Each script runs in process on a small input, as ``python scripts/<name>``
 would run it, and must exit 0.  The experiment scripts must print their
 table header, and the growth profile must take its worst ratio only over
-steps that end below G; ``cli_outputs.py`` must write one masked envelope
+steps that end below G; the remark 12 sweep ends on a refused prime with
+one error line and exit status 2; ``cli_outputs.py`` must write one masked envelope
 per run, and its digests must match ``tests/cli_outputs.sha256``.
 """
 
@@ -42,6 +43,20 @@ def test_script_runs(script, args, header, monkeypatch, capsys):
     assert _run(script, args, monkeypatch) == 0
     lines = capsys.readouterr().out.splitlines()
     assert header in [line.split() for line in lines]
+
+
+def test_remark12_sweep_refused_prime_is_usage_error(monkeypatch, capsys):
+    """The rows before a refused prime stay; the refusal is one stderr
+    line and exit status 2, as on the command line, not a traceback."""
+    assert _run("remark12_sweep.py", ["--primes", "5", "7", "1009", "--trials", "0"], monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()[2:]] == ["5", "7"]
+    assert err == (
+        "remark12_sweep.py: error: SL2 group order has 1027242720 elements, above the cap "
+        "of 67108864; raise it with set_order_cap() or $SUMSETLAB_ORDER_CAP\n"
+    )
+    assert _run("remark12_sweep.py", ["--primes", "9", "--trials", "0"], monkeypatch) == 2
+    assert capsys.readouterr().err == "remark12_sweep.py: error: p must be prime, got 9\n"
 
 
 def _profile_rows(args, monkeypatch, capsys):
