@@ -11,8 +11,13 @@ key row1 * p^2 + row2 with no per-product arithmetic mod p.  Every x in X
 shares one such table per block, and a block holds a fixed number of
 products (``_CHUNK_CELLS``, or ``_COUNT_CELLS`` in the count), so the
 scratch memory of a call is bounded by the block, not by p^2 * |Y|.
-Product sets mark packed keys in a p^4 bool array, one block of Y at a
-time, read members back by key, and stop once the product is all of G.
+Product sets key forward blocks first: X against a block of Y at a time,
+marked in a p^4 bool array and read back by key.  Once the product is G,
+or few enough elements are missing that keying them is cheaper than
+keying X, the forward blocks stop.  The missing elements z are then keyed
+as rows against the inverses of the rest of Y: z is in XY exactly when
+z y^-1 is in X for some y, which a p^4 mask of X's keys answers, and each
+z leaves the rows once found.
 When |X| + |Y| > |G| the product is G by pigeonhole (X meets gY^-1 for
 every g) and no block runs.
 The Ruzsa representation count r(z) = |X ∩ zY^-1|, with X = AB^-1 and
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import math
 import random
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -53,7 +58,9 @@ from .groups import as_int, as_prime, at_least, check_index
 from .reports import Report, map_trials
 from .setops import GroupSet, _prefix_chain, _same_spec, is_cover
 
-_CHUNK_CELLS = 1 << 14  # product cells a block of Y keys in ``product_set``
+# Product cells a forward block of Y keys in ``product_set``; its finish keys
+# the missing elements against blocks of Y of the same width.
+_CHUNK_CELLS = 1 << 14
 _COUNT_CELLS = 1 << 16  # the same in the Ruzsa count (see _fibre_counts), which has no early exit
 _HYPOTHESIS_TRIES = 200  # draws before ``sample_hypothesis_set`` gives up
 
@@ -232,24 +239,79 @@ def _require_sl2(group) -> SL2Group:
 def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
     """{a*b : a in X, b in Y}; not commutative in general.
 
-    The products are keyed one block of Y at a time against all of X, and
-    the loop stops after the first block that leaves the product equal to
-    G.  When ``|X| + |Y| > |G|`` the result is G with no block: by
-    pigeonhole, X and gY^-1 meet for every g.
+    When ``|X| + |Y| > |G|`` the result is G with no block: by pigeonhole,
+    X and gY^-1 meet for every g.  Otherwise the products are keyed one
+    block of Y at a time against all of X, until the product is G or the
+    elements still missing are few enough to finish from their side (see
+    ``_finish``), which gives the same set.
     """
     _same_spec(x.group, y.group)
     g = _require_sl2(x.group)
-    if x.card == 0 or y.card == 0:
+    return _product(g, x.card, y.card, x.index_array, y.index_array)
+
+
+def _product(g: SL2Group, x_card: int, y_card: int, rows, cols) -> GroupSet:
+    """XY for sets X and Y of these cards, whose element indices the calls
+    ``rows()`` and ``cols()`` return; neither is called when X or Y is
+    empty or when pigeonhole decides XY."""
+    if x_card == 0 or y_card == 0:
         return GroupSet.empty(g)
-    if x.card + y.card > g.order:
+    if x_card + y_card > g.order:
         return GroupSet.full(g)  # pigeonhole: X meets gY^-1 for every g
-    hit = np.zeros(g.p**4, dtype=bool)
-    for keys in _key_blocks(g, x.index_array(), y.index_array(), _CHUNK_CELLS):
-        hit[keys] = True
-        out = hit[g._keys]
-        if out.all():
-            break
+    ix, iy = rows(), cols()
+    out, rest = _forward(g, ix, iy)
+    if len(rest):
+        _finish(g, ix, rest, out)
     return GroupSet.from_mask(g, out)
+
+
+def _forward(g: SL2Group, ix: np.ndarray, iy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The elements that XY holds after the first blocks of Y, as a mask
+    over G, and the columns of Y left for ``_finish``: none once the mask
+    covers G or Y is used up.
+
+    Each block marks the packed keys of X times its columns in a p^4 bool
+    array.  A column costs min(p^2, 2|X|) + |X| cells here, and
+    min(p^2, 2m) + m in ``_finish`` with m elements missing, so the loop
+    stops once G is covered or the finish keys at most half as many cells
+    a column.
+    """
+    p2 = g.p**2
+    forward = min(p2, 2 * len(ix)) + len(ix)
+    hit = np.zeros(g.p**4, dtype=bool)
+    used = 0
+    for keys in _key_blocks(g, ix, iy, _CHUNK_CELLS):
+        hit[keys] = True
+        used += keys.shape[1]
+        out = hit[g._keys]
+        # the elements a finish would look for; none once Y is used up
+        left = g.order - int(np.count_nonzero(out)) if used < len(iy) else 0
+        if 2 * (min(p2, 2 * left) + left) <= forward:
+            break
+    return out, iy[used:] if left else iy[:0]
+
+
+def _finish(g: SL2Group, ix: np.ndarray, rest: np.ndarray, out: np.ndarray) -> None:
+    """Mark in ``out`` the missing elements that X times ``rest`` holds.
+
+    z is in X * rest exactly when z y^-1 is in X for some y in ``rest``, so
+    the missing elements are keyed as rows against the inverses of
+    ``rest``, in blocks as wide as ``_forward``'s, and a p^4-byte mask of
+    X's keys turns each key into a hit.  An element leaves the rows once
+    it is found, and the loop stops when none is left or ``rest`` is used.
+    """
+    in_x = np.zeros(g.p**4, dtype=bool)
+    in_x[g._keys[ix]] = True
+    z = np.flatnonzero(~out)
+    inv = g.inv[rest]
+    step = max(1, _CHUNK_CELLS // len(ix))
+    for start in range(0, len(inv), step):
+        keys = next(_key_blocks(g, z, inv[start : start + step], len(z) * step))
+        z = z[~np.take(in_x, keys).any(axis=1)]
+        if len(z) == 0:
+            break
+    out[:] = True
+    out[z] = False
 
 
 def inverse_set(x: GroupSet) -> GroupSet:
@@ -274,7 +336,11 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet) -> Report:
     every z in AC^-1 factors as x*y (x in AB^-1, y in BC^-1) in >= |B| ways.
 
     The inequality itself is checked in exact integer arithmetic:
-    |AC^-1| * |B| <= |AB^-1| * |BC^-1|.
+    |AC^-1| * |B| <= |AB^-1| * |BC^-1|.  The three products run as in
+    ``product_set``, on index arrays: A, B and C are each unpacked at most
+    once, and their inverses are gathered from ``SL2Group.inv`` with no
+    inverse set built.  A product that emptiness or pigeonhole decides
+    unpacks nothing.
 
     The count runs when |AB^-1| * |BC^-1| <= ``_COUNT_LIMIT``.  With
     X = AB^-1 and Y = BC^-1, the number of factorisations of z is
@@ -289,10 +355,13 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet) -> Report:
     g = _require_sl2(a.group)
     if b.card == 0:
         raise ValueError("B must be nonempty")
-    c_inv = inverse_set(c)
-    ac = product_set(a, c_inv)
-    ab = product_set(a, inverse_set(b))
-    bc = product_set(b, c_inv)
+    # Each operand is unpacked to element indices at most once, and only
+    # for a product that neither emptiness nor pigeonhole decides.
+    ia, ib, ic = (cache(s.index_array) for s in (a, b, c))
+    ib_inv, ic_inv = cache(lambda: g.inv[ib()]), cache(lambda: g.inv[ic()])
+    ac = _product(g, a.card, c.card, ia, ic_inv)
+    ab = _product(g, a.card, b.card, ia, ib_inv)
+    bc = _product(g, b.card, c.card, ib, ic_inv)
     inequality_ok = ac.card * b.card <= ab.card * bc.card
 
     count_checked = False

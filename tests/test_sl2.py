@@ -280,14 +280,16 @@ def test_product_set_pigeonhole_equality_not_forced():
 
 def _count_blocks(monkeypatch):
     """Record the (rows, columns) shape of every block of keys that
-    ``_key_blocks`` yields, and the number of kernel runs (calls)."""
+    ``_key_blocks`` yields, and per kernel run (call) the shapes of the
+    blocks it yielded."""
     blocks, runs = [], []
     key_blocks = sl2._key_blocks
 
     def counted(g, ix, iy, cells):
-        runs.append(cells)
+        runs.append([])
         for keys in key_blocks(g, ix, iy, cells):
             blocks.append(keys.shape)
+            runs[-1].append(keys.shape)
             yield keys
 
     monkeypatch.setattr(sl2, "_key_blocks", counted)
@@ -327,9 +329,11 @@ def test_product_set_no_table_exits_when_full(monkeypatch):
     x = SL2Set.from_indices(g, rng.sample(range(g.order), 600))
     y = SL2Set.from_indices(g, rng.sample(range(g.order), 600))
     monkeypatch.setattr(sl2, "_CHUNK_CELLS", 600 * 10)  # 10 columns a block
-    blocks, _ = _count_blocks(monkeypatch)
+    blocks, runs = _count_blocks(monkeypatch)
     assert is_cover(product_set(x, y))
-    assert set(blocks) == {(600, 10)}
+    forward, *finish = runs
+    assert set(forward) == {(600, 10)}
+    assert finish and all(rows < 600 and cols <= 10 for run in finish for rows, cols in run)
     assert 1 < len(blocks) < 60
 
 
@@ -342,6 +346,60 @@ def test_product_set_exits_early_at_default_chunk(monkeypatch):
     assert is_cover(product_set(x, y))
     keyed = sum(rows * cols for rows, cols in blocks)
     assert keyed < 1500 * 1500 / 4  # the loop stops once XY = G
+
+
+def test_covering_product_finishes_from_the_missing_elements(monkeypatch):
+    """The seed-12 1500x1500 product at p = 17 keys one forward block of
+    X, then the elements still missing against the rest of Y: under
+    20,000 cells in all, where keying X until XY = G took 45,000."""
+    g = sl2_group(17)
+    rng = random.Random(12)
+    x = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
+    y = SL2Set.from_indices(g, rng.sample(range(g.order), 1500))
+    blocks, runs = _count_blocks(monkeypatch)
+    assert is_cover(product_set(x, y))
+    assert runs[0] == [(1500, 10)] and len(runs) > 1
+    assert sum(rows * cols for rows, cols in blocks) < 20_000
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 17])
+def test_product_set_finish_differential(p, monkeypatch):
+    """Products whose forward blocks stop early, against the naive oracle,
+    at ``_CHUNK_CELLS`` in {1, 64, default}.  |X||Y| is drawn near c|G|
+    for c up to 12, so that the finish runs both on products that cover G
+    and on products where Y runs out with elements still missing; a spy
+    on ``_finish`` sees both.  The draws are derandomized so that the spy
+    sees the same finishes on every run."""
+    g = sl2_group(p)
+    finishes = []  # (missing before, missing after) per finish
+    finish = sl2._finish
+
+    def spy(g, ix, rest, out):
+        before = g.order - int(np.count_nonzero(out))
+        finish(g, ix, rest, out)
+        finishes.append((before, g.order - int(np.count_nonzero(out))))
+
+    monkeypatch.setattr(sl2, "_finish", spy)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        x_card=st.integers(g.order // 10, g.order // 2),
+        c=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        chunk=st.sampled_from([1, 64, sl2._CHUNK_CELLS]),
+    )
+    def check(x_card, c, seed, chunk):
+        y_card = min(g.order - x_card, -(-c * g.order // x_card))
+        x = _sized_sl2_set(g, x_card, seed)
+        y = _sized_sl2_set(g, y_card, seed + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sl2, "_CHUNK_CELLS", chunk)
+            got = product_set(x, y)
+        assert frozenset(got.coords()) == naive_sl2_product_set(p, x.coords(), y.coords())
+
+    check()
+    assert any(before and not after for before, after in finishes)  # covering
+    assert any(after for _, after in finishes)  # Y used up, elements missing
 
 
 def test_covering_product_fills_few_rows(monkeypatch):
@@ -485,7 +543,7 @@ def test_ruzsa_representation_count_without_table(chunk_cells, monkeypatch):
     monkeypatch.setattr(sl2, "inverse_set", counted_inverse)
     r = check_ruzsa(a, b, c)
     assert len(runs) == 4  # AC^-1, AB^-1, BC^-1, then once for the count
-    assert inverses == [c, b]  # C^-1 is built once for AC^-1 and BC^-1
+    assert inverses == []  # B^-1 and C^-1 are gathered as index arrays
 
     def inv(s):
         return [(d, -bb % 17, -cc % 17, aa) for aa, bb, cc, d in s.coords()]
@@ -495,6 +553,48 @@ def test_ruzsa_representation_count_without_table(chunk_cells, monkeypatch):
     reps = Counter(naive_sl2_mul(17, x, y) for x in ab for y in bc)
     ac = naive_sl2_product_set(17, a.coords(), inv(c))
     assert r.count_checked and r.min_representations == min(reps[z] for z in ac)
+
+
+def _decided(x, y):
+    """Whether emptiness or pigeonhole decides XY."""
+    return x.card == 0 or y.card == 0 or x.card + y.card > x.group.order
+
+
+@pytest.mark.parametrize("p,max_size", [(3, 24), (5, 120), (7, 120), (11, 12)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_check_ruzsa_matches_oracles_on_index_arrays(p, max_size, data):
+    """Cards and the least representation count against the oracles.  A
+    spy sees no inverse set built and each operand unpacked once, or not
+    at all when emptiness or pigeonhole decides both of its products."""
+    g = sl2_group(p)
+    a, c = (
+        _sized_sl2_set(g, data.draw(st.integers(0, max_size)), data.draw(st.integers(0, 2**32)))
+        for _ in range(2)
+    )
+    b = _sized_sl2_set(g, data.draw(st.integers(1, max_size)), data.draw(st.integers(0, 2**32)))
+    unpacked, inverses = [], []
+    index_array = GroupSet.index_array
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sl2, "inverse_set", lambda s: inverses.append(s))
+        mp.setattr(GroupSet, "index_array", lambda s: unpacked.append(s) or index_array(s))
+        r = check_ruzsa(a, b, c)
+    assert inverses == []
+    for s, products in ((a, [(a, c), (a, b)]), (b, [(a, b), (b, c)]), (c, [(a, c), (b, c)])):
+        needed = not all(_decided(*xy) for xy in products)
+        assert sum(u is s for u in unpacked) == needed
+
+    def inv(s):
+        return [naive_sl2_inverse(p, e) for e in s.coords()]
+
+    ab = naive_sl2_product_set(p, a.coords(), inv(b))
+    bc = naive_sl2_product_set(p, b.coords(), inv(c))
+    ac = naive_sl2_product_set(p, a.coords(), inv(c))
+    assert (r.card_ac_inv, r.card_ab_inv, r.card_bc_inv) == (len(ac), len(ab), len(bc))
+    assert r.count_checked == bool(ac)  # |AB^-1||BC^-1| <= |G|^2 is under the limit here
+    if ac:
+        reps = naive_sl2_representations(p, ab, bc)
+        assert r.min_representations == min(reps[z] for z in ac)
 
 
 # Each branch of the count: Y at most half of G (Y enumerated), Y more than
