@@ -8,12 +8,14 @@ is forced to cover the group.  With --trials > 0 the seeded twelve-set
 experiment is run wherever the bound gives K = 4; --trials 0 prints the
 table without building any group (p is still checked against the order
 cap).  A refused prime (one that is not prime, or whose group is above the
-order cap) ends the table with one ``remark12_sweep.py: error: ...`` line
-on stderr and exit status 2, as the command line does.
+order cap), a refused density, or a sampler that runs out of draws ends
+the table with one ``remark12_sweep.py: error: ...`` line on stderr and
+exit status 2, as the command line does.
 """
 
 import argparse
 
+from sumsetlab.constructions import SearchBudgetError
 from sumsetlab.sl2 import remark12
 
 
@@ -31,7 +33,7 @@ def main() -> None:
     for p in args.primes:
         try:
             rep = remark12(p, trials=args.trials, seed=args.seed, density=args.density)
-        except ValueError as exc:
+        except (ValueError, SearchBudgetError) as exc:
             parser.exit(2, f"{parser.prog}: error: {exc}\n")
         outcome = f"{sum(rep.trials_passed)}/{rep.trials} pass" if rep.applies else "n/a (K > 4)"
         print(

@@ -57,6 +57,11 @@ def test_remark12_sweep_refused_prime_is_usage_error(monkeypatch, capsys):
     )
     assert _run("remark12_sweep.py", ["--primes", "9", "--trials", "0"], monkeypatch) == 2
     assert capsys.readouterr().err == "remark12_sweep.py: error: p must be prime, got 9\n"
+    args = ["--primes", "7", "--trials", "1", "--density", "0.001"]
+    assert _run("remark12_sweep.py", args, monkeypatch) == 2
+    assert capsys.readouterr().err == (
+        "remark12_sweep.py: error: no hypothesis set found in 200 tries (p=7, density=0.001)\n"
+    )
 
 
 def _profile_rows(args, monkeypatch, capsys):
