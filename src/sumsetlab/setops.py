@@ -204,6 +204,9 @@ class GroupSet:
         return [self.group.element(x) for x in self.indices()]
 
     def __contains__(self, x: int) -> bool:
+        """Membership under the index rule of ``as_int``: bools, floats and
+        strings are refused, and integers outside ``[0, order)`` are absent."""
+        x = as_int(x, "element index", self.group)
         return 0 <= x < self.group.order and bool((self.bits >> x) & 1)
 
     def __iter__(self) -> Iterator[int]:

@@ -116,6 +116,23 @@ def test_non_integer_index_is_refused(build, x):
         build(x)
 
 
+@pytest.mark.parametrize("x", _NOT_INDICES, ids=repr)
+def test_membership_refuses_non_integers(x):
+    """``x in s`` takes ``x`` under the index rule, as ``translate`` does:
+    ``True in s`` is no test for element 1, and a float or a string is
+    refused by name rather than with a bare ``TypeError``."""
+    s = GroupSet.from_indices(Z5, [1, 2])
+    msg = f"element index {x!r} for Z5 is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        x in s
+
+
+def test_membership_of_integers():
+    s = GroupSet.from_indices(Z5, [1, 4])
+    assert np.int64(4) in s and np.uint8(1) in s and np.int32(2) not in s
+    assert all(x not in s for x in (-1, 5, 2**70, -(2**70)))
+
+
 Z5xZ5 = GroupSpec((5, 5))
 
 
