@@ -297,11 +297,12 @@ def enumerate_bases(p: int, n: int) -> list[tuple[tuple[int, ...], ...]] | None:
 # Random covering sets
 
 
-def check_size(spec: GroupSpec, size: int) -> int:
-    """``size`` as an int in ``[0, order]``, the sizes ``random_set`` draws."""
-    size = as_int(size, "size", spec)
-    if not 0 <= size <= spec.order:
-        raise ValueError(f"size {size} out of range [0, {spec.order}]")
+def check_size(size: int, order: int, name: object) -> int:
+    """``size`` as an int in ``[0, order]``, the sizes ``random_set`` draws.
+    A refusal names ``name``: the group, or the name of one not built."""
+    size = as_int(size, "size", name)
+    if not 0 <= size <= order:
+        raise ValueError(f"size {size} out of range [0, {order}]")
     return size
 
 
@@ -328,7 +329,7 @@ def random_set(spec: GroupSpec, size: int, rng: random.Random) -> GroupSet:
     Any group with an ``order`` works; ``sl2.random_sl2_set`` builds
     through here too.
     """
-    size, order = check_size(spec, size), spec.order
+    size, order = check_size(size, spec.order, spec), spec.order
     while True:
         if order <= _KEY_CHUNK:
             keys = np.frombuffer(bytes(4) + rng.randbytes(4 * order), "<u4")

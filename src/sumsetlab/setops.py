@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import GroupSpec, as_int, at_least, check_index, decode, encode
+from .groups import GroupSpec, as_int, at_least, check_index, decode
 
 if TYPE_CHECKING:
     from .sl2 import SL2Group
@@ -204,9 +204,7 @@ class GroupSet:
         return [self.group.element(x) for x in self.indices()]
 
     def __contains__(self, x: int) -> bool:
-        """Membership under the index rule of ``as_int``: bools, floats and
-        strings are refused, and integers outside ``[0, order)`` are absent."""
-        x = as_int(x, "element index", self.group)
+        x = as_int(x, "element index", self.group)  # refuses bools, floats and strings
         return 0 <= x < self.group.order and bool((self.bits >> x) & 1)
 
     def __iter__(self) -> Iterator[int]:
@@ -227,7 +225,7 @@ class ElementMultiset:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _abelian(self.spec)  # coords() and from_coords() need the factors
+        _abelian(self.spec)  # subset_sums and is_additive_basis need the factors
         merged: dict[int, int] = {}
         for x, mult in self.entries:
             x = check_index(self.spec, x)
@@ -241,28 +239,11 @@ class ElementMultiset:
     def from_indices(cls, spec: GroupSpec, indices: Iterable[int]) -> ElementMultiset:
         return cls(spec, tuple((x, 1) for x in indices))
 
-    @classmethod
-    def from_coords(cls, spec: GroupSpec, coords: Iterable[Iterable[int]]) -> ElementMultiset:
-        return cls.from_indices(spec, (encode(_abelian(spec), c) for c in coords))
-
-    @property
-    def size(self) -> int:
-        """Total number of elements counted with multiplicity."""
-        return sum(m for _, m in self.entries)
-
     def expand(self) -> list[int]:
         out: list[int] = []
         for x, mult in self.entries:
             out.extend([x] * mult)
         return out
-
-    def coords(self) -> list[tuple[int, ...]]:
-        return [decode(self.spec, x) for x in self.expand()]
-
-    def union(self, other: ElementMultiset) -> ElementMultiset:
-        """Multiset union with multiplicities added."""
-        _same_spec(self.spec, other.spec)
-        return ElementMultiset(self.spec, self.entries + other.entries)
 
 
 def _same_spec(a: Group, b: Group) -> None:

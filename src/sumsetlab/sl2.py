@@ -20,6 +20,8 @@ z y^-1 is in X for some y, which a p^4 mask of X's keys answers, and each
 z leaves the rows once found.
 When |X| + |Y| > |G| the product is G by pigeonhole (X meets gY^-1 for
 every g) and no block runs.
+The Ruzsa check and Theorem 4's hypothesis A A^-1 = G multiply by
+inverses gathered from ``SL2Group.inv``; neither builds an inverse set.
 The Ruzsa representation count r(z) = |X ∩ zY^-1|, with X = AB^-1 and
 Y = BC^-1, is |Y| for every z when X = G and |X| when Y = G.  Otherwise
 it enumerates S, the smaller of Y and its complement, by one of two
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cache, cached_property, lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,6 +72,11 @@ def _check_p(p: int) -> int:
     p = as_int(p, "p")
     check_order(p**3 - p, "SL2 group order")
     return as_prime(p)
+
+
+def _group_name(p: int) -> str:
+    """SL2(Z_p)'s name in messages, read from p with no group built."""
+    return f"SL2Group(p={p}, order={p**3 - p})"
 
 
 class SL2Group:
@@ -139,9 +146,6 @@ class SL2Group:
         row1, row2 = np.divmod(np.concatenate(blocks, axis=1), self.p**2)
         return self._indices(row1, row2)
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self.product_indices(np.array([i]), np.array([j]))[0, 0])
-
     def index(self, mat: Sequence[int]) -> int:
         if len(mat) != 4:
             raise ValueError(f"expected 4 matrix entries (a, b, c, d), got {len(mat)}")
@@ -170,7 +174,7 @@ class SL2Group:
         return hash(("SL2", self.p))
 
     def __repr__(self) -> str:
-        return f"SL2Group(p={self.p}, order={self.order})"
+        return _group_name(self.p)
 
 
 def _key_blocks(g: SL2Group, ix: np.ndarray, iy: np.ndarray, cells: int) -> Iterator[np.ndarray]:
@@ -291,17 +295,24 @@ def _forward(g: SL2Group, ix: np.ndarray, iy: np.ndarray) -> tuple[np.ndarray, n
     return out, iy[used:] if left else iy[:0]
 
 
+def _x_mask(g: SL2Group, ix: np.ndarray) -> np.ndarray:
+    """A p^4 bool mask of the packed keys of X, whose element indices are
+    ``ix``: it turns the key of a product into a hit in X."""
+    in_x = np.zeros(g.p**4, dtype=bool)
+    in_x[g._keys[ix]] = True
+    return in_x
+
+
 def _finish(g: SL2Group, ix: np.ndarray, rest: np.ndarray, out: np.ndarray) -> None:
     """Mark in ``out`` the missing elements that X times ``rest`` holds.
 
     z is in X * rest exactly when z y^-1 is in X for some y in ``rest``, so
     the missing elements are keyed as rows against the inverses of
-    ``rest``, in blocks as wide as ``_forward``'s, and a p^4-byte mask of
-    X's keys turns each key into a hit.  An element leaves the rows once
-    it is found, and the loop stops when none is left or ``rest`` is used.
+    ``rest``, in blocks as wide as ``_forward``'s, and ``_x_mask`` turns
+    each key into a hit.  An element leaves the rows once it is found, and
+    the loop stops when none is left or ``rest`` is used.
     """
-    in_x = np.zeros(g.p**4, dtype=bool)
-    in_x[g._keys[ix]] = True
+    in_x = _x_mask(g, ix)
     z = np.flatnonzero(~out)
     inv = g.inv[rest]
     step = max(1, _CHUNK_CELLS // len(ix))
@@ -418,12 +429,11 @@ def _target_counts(g: SL2Group, x: GroupSet, side: GroupSet, targets: GroupSet) 
     """|X ∩ zS^-1| for every z in ``targets``, one key per (target, column).
 
     ``_key_blocks`` gives the packed keys of z * s^-1 for every target z
-    against a block of S^-1 at a time, and a p^4-byte mask of X's keys
-    turns them into hits.  The hits are added up column by column across
-    the blocks, and each count is one row sum at the end.
+    against a block of S^-1 at a time, and ``_x_mask`` turns them into
+    hits.  The hits are added up column by column across the blocks, and
+    each count is one row sum at the end.
     """
-    in_x = np.zeros(g.p**4, dtype=np.uint8)
-    in_x[g._keys[x.index_array()]] = 1
+    in_x = _x_mask(g, x.index_array())
     counts = None  # counts[i, j]: the hits of target i in column j of every block
     for keys in _key_blocks(g, targets.index_array(), g.inv[side.index_array()], _COUNT_CELLS):
         hits = np.take(in_x, keys)
@@ -568,6 +578,15 @@ def _meets_floor(card, n: int, d: int):
     return card**3 * d >= n**3
 
 
+def _hypothesis_holds(a: GroupSet) -> bool:
+    """Whether A A^-1 = G, Theorem 4's hypothesis.  As in ``check_ruzsa``,
+    A is unpacked at most once (never when pigeonhole decides) and A^-1 is
+    gathered from ``SL2Group.inv``, with no inverse set built."""
+    g = _require_sl2(a.group)
+    ia = cache(a.index_array)
+    return is_cover(_product(g, a.card, a.card, ia, lambda: g.inv[ia()]))
+
+
 def verify_theorem4(family: Sequence[GroupSet]) -> Report:
     """Check the covering chain for 3K sets, K per block.
 
@@ -589,7 +608,7 @@ def _theorem4_chain(family: Sequence[GroupSet], hypothesis_ok: list[bool] | None
         family,
         3,
         product_set,
-        lambda a: is_cover(product_set(a, inverse_set(a))),
+        _hypothesis_holds,
         hypothesis_ok,
         lambda n, prev, card: (math.sqrt(n * prev), card**2 >= n * prev),
     )
@@ -637,7 +656,7 @@ def sample_hypothesis_set(group: SL2Group, rng: random.Random, density: float = 
     size = math.ceil(check_density(density, "density") * group.order)
     for _ in range(_HYPOTHESIS_TRIES):
         cand = random_sl2_set(group, size, rng)
-        if is_cover(product_set(cand, inverse_set(cand))):
+        if _hypothesis_holds(cand):
             return cand
     raise SearchBudgetError(
         f"no hypothesis set found in {_HYPOTHESIS_TRIES} tries "
@@ -645,18 +664,14 @@ def sample_hypothesis_set(group: SL2Group, rng: random.Random, density: float = 
     )
 
 
-def _group_for(p: int, trials: int) -> SL2Group | None:
-    """SL2(Z_p) once ``trials`` is checked, or ``None`` for zero trials,
-    which build no group."""
-    return sl2_group(p) if at_least(trials, 0, "trials") else None
-
-
 def ruzsa_trials(p: int, trials: int, seed: int) -> list[Report]:
     """Check the Ruzsa triangle on ``trials`` triples of random sets, each
-    of a uniform size in [1, |G|].  Zero trials build no group."""
-    g = _group_for(_check_p(p), trials)
+    of a uniform size in [1, |G|].  The first trial fetches the group, so
+    zero trials build none."""
+    p = _check_p(p)
 
     def one(rng: random.Random) -> Report:
+        g = _cached_group(p)
         a = random_sl2_set(g, rng.randint(1, g.order), rng)
         b = random_sl2_set(g, rng.randint(1, g.order), rng)
         c = random_sl2_set(g, rng.randint(1, g.order), rng)
@@ -665,24 +680,15 @@ def ruzsa_trials(p: int, trials: int, seed: int) -> list[Report]:
     return map_trials(one, trials, seed)
 
 
-class _Unbuilt(NamedTuple):
-    """SL2(Z_p) as ``check_size`` reads it, its order and its name, with no
-    group built."""
-
-    p: int
-    order: int
-
-    __repr__ = SL2Group.__repr__
-
-
 def gowers_trials(p: int, size: int, trials: int, seed: int) -> list[Report]:
     """Check triple-product covering on ``trials`` triples of random sets
-    of ``size`` elements.  Zero trials build no group."""
+    of ``size`` elements, checked against p^3 - p.  The first trial
+    fetches the group, so zero trials build none."""
     p = _check_p(p)
-    size = check_size(_Unbuilt(p, p**3 - p), size)
-    g = _group_for(p, trials)
+    size = check_size(size, p**3 - p, _group_name(p))
 
     def one(rng: random.Random) -> Report:
+        g = _cached_group(p)
         sets = [random_sl2_set(g, size, rng) for _ in range(3)]
         return check_gowers(*sets)
 
@@ -702,16 +708,17 @@ def theorem4_trials(
     every hypothesis verdict is already known to hold and the chain does
     not test it again.  The density is checked before any trial, and so is
     the size of the family that each trial draws, 3K * |G| elements, against
-    the order cap; zero trials draw no family and build no group.
+    the order cap.  The first trial fetches the group, so zero trials draw
+    no family and build no group.
     """
     p = _check_p(p)
     big_k = _triple_product_info(p).K if K is None else at_least(K, 1, "K")
     check_density(density, "density")
     if trials:
         check_order(3 * big_k * (p**3 - p), f"a family of {3 * big_k} sets in SL2(Z_{p})")
-    g = _group_for(p, trials)
 
     def one(rng: random.Random) -> Report:
+        g = _cached_group(p)
         sets = [sample_hypothesis_set(g, rng, density) for _ in range(3 * big_k)]
         return _theorem4_chain(sets, [True] * len(sets))
 
@@ -732,10 +739,8 @@ def remark12(p: int, trials: int = 5, seed: int = 0, density: float = 0.25) -> R
     if info.K is None:
         raise ValueError(f"delta = 0 at p={p}: the bound is undefined")
     applies = info.K == 4
-    trials_passed: list[bool] = []
-    if applies and trials:
-        results = theorem4_trials(p, trials, seed, K=4, density=density)
-        trials_passed = [r.passed for r in results]
+    runs = theorem4_trials(p, trials, seed, K=4, density=density) if applies else []
+    trials_passed = [r.passed for r in runs]
     return Report(
         **vars(info),
         applies=applies,

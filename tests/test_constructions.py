@@ -29,7 +29,7 @@ from sumsetlab.constructions import (
     standard_basis_matrix,
     verify_example1,
 )
-from sumsetlab.groups import GroupSpec, parse_group_spec, vector_space_spec
+from sumsetlab.groups import GroupSpec, encode, parse_group_spec, vector_space_spec
 from sumsetlab.setops import ElementMultiset, GroupSet, is_cover, m_fold, subset_sums, sumset
 from sumsetlab.sl2 import sl2_group
 
@@ -225,7 +225,7 @@ def test_basis_power_identity(p, n):
     spec = vector_space_spec(p, n)
     bases = [standard_basis_matrix(p, n)] + [random_basis_matrix(p, n, seed) for seed in (0, 1)]
     for b in bases:
-        closure = subset_sums(ElementMultiset.from_coords(spec, b))
+        closure = subset_sums(ElementMultiset.from_indices(spec, [encode(spec, row) for row in b]))
         assert is_cover(m_fold(closure, p - 1))
         if p == 2:
             assert closure.card == 2**n

@@ -78,30 +78,34 @@ def test_elements_lexicographic_and_unimodular():
         assert (a * d - b * c) % 7 == 1
 
 
+def _pairwise(g, ix, iy):
+    """The products ix[k] * iy[k], from the diagonal of ``product_indices``."""
+    return np.diagonal(g.product_indices(np.asarray(ix), np.asarray(iy)))
+
+
 def test_identity_and_inverse_table():
     for p in (2, 3, 5):
         g = sl2_group(p)
         assert g.elements[g.identity] == (1, 0, 0, 1)
-        for i in range(g.order):
-            assert g.mul(i, int(g.inv[i])) == g.identity
-            assert g.mul(int(g.inv[i]), i) == g.identity
+        every = np.arange(g.order)
+        assert (_pairwise(g, every, g.inv) == g.identity).all()
+        assert (_pairwise(g, g.inv, every) == g.identity).all()
 
 
 def test_mul_matches_naive():
     g = sl2_group(7)
     rng = random.Random(0)
-    for _ in range(200):
-        i, j = rng.randrange(g.order), rng.randrange(g.order)
-        expect = naive_sl2_mul(7, g.elements[i], g.elements[j])
-        assert g.elements[g.mul(i, j)] == expect
+    pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(200)]
+    got = _pairwise(g, *zip(*pairs))
+    for (i, j), k in zip(pairs, got):
+        assert g.elements[k] == naive_sl2_mul(7, g.elements[i], g.elements[j])
 
 
 def test_associativity_random():
     g = sl2_group(5)
     rng = random.Random(1)
-    for _ in range(200):
-        i, j, k = (rng.randrange(g.order) for _ in range(3))
-        assert g.mul(g.mul(i, j), k) == g.mul(i, g.mul(j, k))
+    i, j, k = zip(*([rng.randrange(g.order) for _ in range(3)] for _ in range(200)))
+    assert (_pairwise(g, _pairwise(g, i, j), k) == _pairwise(g, i, _pairwise(g, j, k))).all()
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -116,9 +120,10 @@ def test_table_matches_naive_exhaustive(p):
 def test_mul_without_table_matches_naive():
     g = sl2_group(17)
     rng = random.Random(9)
-    for _ in range(200):
-        i, j = rng.randrange(g.order), rng.randrange(g.order)
-        assert g.elements[g.mul(i, j)] == naive_sl2_mul(17, g.elements[i], g.elements[j])
+    pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(200)]
+    got = _pairwise(g, *zip(*pairs))
+    for (i, j), k in zip(pairs, got):
+        assert g.elements[k] == naive_sl2_mul(17, g.elements[i], g.elements[j])
 
 
 def test_sl2_group_rejects_non_prime():
@@ -838,13 +843,12 @@ def test_abelian_entry_points_refuse_sl2_sets(entry):
     "make",
     [
         lambda g: ElementMultiset.from_indices(g, [1, 2]),
-        lambda g: ElementMultiset.from_coords(g, [(1, 0, 0, 1)]),
         lambda g: ElementMultiset(g, ()),
     ],
-    ids=["from_indices", "from_coords", "empty"],
+    ids=["from_indices", "empty"],
 )
 def test_element_multiset_refuses_sl2_groups(make):
-    """Multisets need an Abelian group's factors for their coordinates."""
+    """Multisets need an Abelian group's factors for their subset sums."""
     msg = r"expected sets over an Abelian GroupSpec, got sets over SL2Group SL2Group\(p=5"
     with pytest.raises(ValueError, match=msg):
         make(sl2_group(5))
@@ -1263,6 +1267,103 @@ def test_sample_hypothesis_set():
     assert a == sample_hypothesis_set(g, random.Random(0))
     with pytest.raises(SearchBudgetError):
         sample_hypothesis_set(sl2_group(5), random.Random(0), density=0.01)
+
+
+@pytest.mark.parametrize("p,max_random", [(5, 120), (7, 336), (11, 400), (13, 300)])
+def test_hypothesis_matches_oracle(p, max_random):
+    """Theorem 4's hypothesis A A^-1 = G, as ``verify_theorem4`` reports
+    it, against the naive product of A and its inverses.  Sizes run up to
+    ``max_random`` and also sit at |G|/2, the largest size that pigeonhole
+    leaves open, and one above it.  The draws are derandomized, and at
+    every p they hold a set that fails, one that passes without
+    pigeonhole, and one that pigeonhole decides."""
+    g = sl2_group(p)
+    seen = set()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        size=st.one_of(st.integers(1, max_random), st.integers(g.order // 2, g.order // 2 + 1)),
+        seed=st.integers(0, 2**32),
+    )
+    def check(size, seed):
+        a = _sized_sl2_set(g, size, seed)
+        inverses = [naive_sl2_inverse(p, e) for e in a.coords()]
+        product = set()  # the naive A A^-1, one element of A at a time until it is G
+        for x in a.coords():
+            product |= naive_sl2_product_set(p, [x], inverses)
+            if len(product) == g.order:
+                break
+        holds = len(product) == g.order
+        assert verify_theorem4([a] * 3).hypothesis_ok == [holds] * 3
+        seen.add((holds, 2 * size > g.order))
+
+    check()
+    assert {(False, False), (True, False), (True, True)} <= seen
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_hypothesis_is_not_the_square(p):
+    """A = B ∪ wB, with B the upper triangular matrices and w = (0, 1, -1, 0),
+    has A A = G (it holds B and BwB, the two Bruhat cells) but A A^-1 = G
+    fails: A A^-1 is B, Bw^-1, wB and wBw^-1, at most 4p(p - 1) elements.
+    So the hypothesis must multiply by A^-1, not by A."""
+    g = sl2_group(p)
+    borel = [e for e in g.elements if e[2] == 0]
+    coords = borel + [naive_sl2_mul(p, (0, 1, p - 1, 0), e) for e in borel]
+    a = SL2Set.from_coords(g, coords)
+    inverses = [naive_sl2_inverse(p, e) for e in coords]
+    assert len(naive_sl2_product_set(p, coords, coords)) == g.order
+    assert len(naive_sl2_product_set(p, coords, inverses)) < g.order
+    assert verify_theorem4([a] * 3).hypothesis_ok == [False] * 3
+
+
+def _spy_unpacks(monkeypatch):
+    """Record every set unpacked to its index array, and fail on any
+    ``inverse_set`` call."""
+    unpacked = []
+    index_array = GroupSet.index_array
+    monkeypatch.setattr(GroupSet, "index_array", lambda s: unpacked.append(s) or index_array(s))
+
+    def no_inverse_set(s):
+        raise AssertionError("inverse_set was called")
+
+    monkeypatch.setattr(sl2, "inverse_set", no_inverse_set)
+    return unpacked
+
+
+@pytest.mark.parametrize("density,decided", [(0.11, False), (0.6, True)])
+def test_sample_hypothesis_set_gathers_inverses(density, decided, monkeypatch):
+    """Every draw is tested with no inverse set built: unpacked once, or
+    never at a density where pigeonhole decides A A^-1."""
+    g = sl2_group(7)
+    draws = []
+    draw = sl2.random_sl2_set
+    monkeypatch.setattr(sl2, "random_sl2_set", lambda *args: draws.append(draw(*args)) or draws[-1])
+    unpacked = _spy_unpacks(monkeypatch)
+    for seed in range(3):
+        a = sample_hypothesis_set(g, random.Random(seed), density)
+    assert a is draws[-1]
+    assert [id(s) for s in unpacked] == ([] if decided else [id(s) for s in draws])
+    assert decided or len(draws) > 3  # some draws were refused
+
+
+def test_verify_theorem4_gathers_inverses(monkeypatch):
+    """``verify_theorem4`` tests each set with no inverse set built and
+    unpacks it once more than the chain alone does (which takes the
+    verdicts as given), or no more when pigeonhole decides A A^-1."""
+    g = sl2_group(7)
+    rng = random.Random(5)
+    sizes = [84, 20, 200, 336, 84, 30, 169, 168, 12, 100, 50, 250]
+    family = [_sized_sl2_set(g, n, rng.randrange(2**32)) for n in sizes]
+    unpacked = _spy_unpacks(monkeypatch)
+    rep = verify_theorem4(family)
+    tested = list(unpacked)
+    unpacked.clear()
+    assert vars(sl2._theorem4_chain(family, rep.hypothesis_ok)) == vars(rep)
+    assert not all(rep.hypothesis_ok) and any(rep.hypothesis_ok)
+    for a in family:
+        extra = sum(u is a for u in tested) - sum(u is a for u in unpacked)
+        assert extra == (2 * a.card <= g.order)
 
 
 # ---------------------------------------------------------------------------
