@@ -12,7 +12,10 @@ shares one such table per block, and a block holds a fixed number of
 products (``_CHUNK_CELLS``, or ``_COUNT_CELLS`` in the count), so the
 scratch memory of a call is bounded by the block, not by p^2 * |Y|.
 Product sets key forward blocks first: X against a block of Y at a time,
-marked in a p^4 bool array and read back by key.  Once the product is G,
+marked in a p^4 bool array and read back by key.  Keys are int32 up to
+p = 211, and the marks take them cast to intp, the index type numpy
+scatters on without its slow casting path (see ``_forward``).  Once the
+product is G,
 or few enough elements are missing that keying them is cheaper than
 keying X, the forward blocks stop.  The missing elements z are then keyed
 as rows against the inverses of the rest of Y: z is in XY exactly when
@@ -275,7 +278,13 @@ def _forward(g: SL2Group, ix: np.ndarray, iy: np.ndarray) -> tuple[np.ndarray, n
     covers G or Y is used up.
 
     Each block marks the packed keys of X times its columns in a p^4 bool
-    array.  A column costs min(p^2, 2|X|) + |X| cells here, and
+    array.  The write takes the keys cast to intp (no copy above p = 211,
+    where they are int64 already): with int32 indices numpy scatters
+    through its casting path, which took 42-47 µs a 2^14-cell block at
+    p = 13 and 17, against 20-25 µs for the intp write plus 3.4 µs for
+    the cast (numpy 2.4, 2-core x86-64 host).  The ``np.take`` readers
+    keep int32 keys, since ``take`` converts them at the cost of a cast.
+    A column costs min(p^2, 2|X|) + |X| cells here, and
     min(p^2, 2m) + m in ``_finish`` with m elements missing, so the loop
     stops once G is covered or the finish keys at most half as many cells
     a column.
@@ -285,7 +294,7 @@ def _forward(g: SL2Group, ix: np.ndarray, iy: np.ndarray) -> tuple[np.ndarray, n
     hit = np.zeros(g.p**4, dtype=bool)
     used = 0
     for keys in _key_blocks(g, ix, iy, _CHUNK_CELLS):
-        hit[keys] = True
+        hit[keys.astype(np.intp, copy=False)] = True
         used += keys.shape[1]
         out = hit[g._keys]
         # the elements a finish would look for; none once Y is used up
