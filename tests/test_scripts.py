@@ -3,9 +3,9 @@
 Each script runs in process on a small input, as ``python scripts/<name>``
 would run it, and must exit 0.  The experiment scripts must print their
 table header, and the growth profile must take its worst ratio only over
-steps that end below G; the remark 12 sweep ends on a refused prime with
-one error line and exit status 2; ``cli_outputs.py`` must write one masked envelope
-per run, and its digests must match ``tests/cli_outputs.sha256``.
+steps that end below G; each of the three sweeps ends on a refused input
+with one error line and exit status 2; ``cli_outputs.py`` must write one masked
+envelope per run, and its digests must match ``tests/cli_outputs.sha256``.
 """
 
 import json
@@ -62,6 +62,47 @@ def test_remark12_sweep_refused_prime_is_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "remark12_sweep.py: error: no hypothesis set found in 200 tries (p=7, density=0.001)\n"
     )
+
+
+def test_growth_profile_refusal_is_usage_error(monkeypatch, capsys):
+    """A group above the order cap is refused before the table; a density
+    whose sampler runs out of draws ends it after the rows already printed."""
+    assert _run("covering_growth_profile.py", ["--group", "Z2^40"], monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "covering_growth_profile.py: error: group Z2^40 has at least 134217728 elements, "
+        "above the cap of 67108864; raise it with set_order_cap() or $SUMSETLAB_ORDER_CAP\n"
+    )
+    args = ["--trials", "1", "--densities", "0.3", "0.001"]
+    assert _run("covering_growth_profile.py", args, monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()[3:]] == ["0.30"]
+    assert err == (
+        "covering_growth_profile.py: error: no 1-element subset of Z3^4 with 2-fold sumset "
+        "covering the group in 200 draws; density 0.001 is likely too low\n"
+    )
+
+
+def test_growth_profile_zero_trials_prints_none(monkeypatch, capsys):
+    """With no family drawn there is no mean final card to divide out."""
+    assert _run("covering_growth_profile.py", ["--trials", "0", "--densities", "0.5"],
+                monkeypatch) == 0
+    assert capsys.readouterr().out.splitlines()[3].split() == ["0.50", "none", "none", "0/0"]
+
+
+def test_kpn_sweep_refusal_is_usage_error(monkeypatch, capsys):
+    """The rows before a refused prime stay; the refusal is one stderr line
+    and exit status 2.  A refused budget ends the table before any row."""
+    args = ["--primes", "2", "4", "--n-max", "1"]
+    assert _run("kpn_bounds_sweep.py", args, monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert [line.split()[:2] for line in out.splitlines()[2:]] == [["2", "1"]]
+    assert err == "kpn_bounds_sweep.py: error: p must be prime, got 4\n"
+    assert _run("kpn_bounds_sweep.py", ["--budget", "0"], monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 2
+    assert err == "kpn_bounds_sweep.py: error: budget must be >= 1, got 0\n"
 
 
 def _profile_rows(args, monkeypatch, capsys):
