@@ -448,6 +448,54 @@ def test_product_indices_empty_operands(nx, ny):
     assert got.shape == (nx, ny)
 
 
+class _Int64Keys(SL2Group):
+    """SL2(Z_p) keyed in int64, as every p >= 223 is (p^4 is above the
+    int32 range there), at a p small enough for the oracles."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self._key_dtype = np.int64
+        self._reduce = self._reduce.astype(np.int64)
+        self._half = self._half.astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+@pytest.mark.parametrize("cells", [64, sl2._CHUNK_CELLS])
+def test_int64_keys_match_int32_keys_and_the_oracles(p, cells, monkeypatch):
+    """Products, product indices and both Ruzsa count kernels give the
+    same answers on int64 keys as on int32 keys, and as the oracles do:
+    on a product that uses Y up and on one that the finish completes."""
+    g32, g64 = sl2_group(p), _Int64Keys(p)
+    assert g32._key_dtype == np.int32
+    monkeypatch.setattr(sl2, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(sl2, "_COUNT_CELLS", cells)
+    rng = random.Random(p)
+    n, els = g32.order, g32.elements
+    ix, iy = (np.array(rng.sample(range(n), 12)) for _ in range(2))
+    assert all(keys.dtype == np.int64 for keys in sl2._key_blocks(g64, ix, iy, cells))
+    got = g64.product_indices(ix, iy).tolist()
+    assert got == g32.product_indices(ix, iy).tolist()
+    assert [[els[k] for k in row] for row in got] == [
+        [naive_sl2_mul(p, els[i], els[j]) for j in iy] for i in ix
+    ]
+
+    def both(indices):
+        return GroupSet.from_indices(g32, indices), GroupSet.from_indices(g64, indices)
+
+    for size in (n // 20, n // 6):
+        (x32, x64), (y32, y64) = (both(rng.sample(range(n), size)) for _ in range(2))
+        got = product_set(x64, y64)
+        assert got.bits == product_set(x32, y32).bits
+        assert frozenset(got.coords()) == naive_sl2_product_set(p, x32.coords(), y32.coords())
+
+    (x32, x64), (s32, s64) = (both(rng.sample(range(n), min(40, n // 3))) for _ in range(2))
+    t32, t64 = both(rng.sample(range(n), n // 2))
+    reps = naive_sl2_representations(p, x32.coords(), s32.coords())
+    want = [reps[z] for z in t32.coords()]
+    for kernel in (sl2._target_counts, sl2._fibre_counts):
+        assert kernel(g64, x64, s64, t64).tolist() == kernel(g32, x32, s32, t32).tolist() == want
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
