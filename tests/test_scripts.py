@@ -6,16 +6,20 @@ table header, and the growth profile must take its worst ratio only over
 steps that end below G; each of the three sweeps ends on a refused input
 with one error line and exit status 2; ``cli_outputs.py`` must write one masked
 envelope per run, and its digests must match ``tests/cli_outputs.sha256``.
+``ab_kinds.py``, which swaps the package in ``sys.modules``, runs in its own
+process, timing this checkout against itself at the smoke scale.
 """
 
 import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 DIGESTS = Path(__file__).resolve().parent / "cli_outputs.sha256"
 
 
@@ -103,6 +107,26 @@ def test_kpn_sweep_refusal_is_usage_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 2
     assert err == "kpn_bounds_sweep.py: error: budget must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("workload", ["sl2-products", "cli-inprocess"])
+def test_ab_kinds_runs_the_repo_against_itself(workload):
+    """The A/B script loads this checkout twice, runs two rounds of the smoke
+    pass, checks every output and prints one row per kind, the pass and the
+    two percentiles, with no timing asserted.  It runs in its own process
+    because it swaps the package out of ``sys.modules``, and it leaves
+    ``perfbench/`` as it found it."""
+    bench = ROOT / "perfbench"
+    before = sorted(bench.rglob("*"))
+    args = [str(ROOT), str(ROOT), "--workload", workload, "--scale", "smoke", "--rounds", "2"]
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "ab_kinds.py"), *args],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *kinds, whole, p50, p90, checks = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert kinds and all(len(row) == 4 for row in kinds + [whole])
+    assert (whole[0], p50[:2], p90[:2]) == ("pass", ["op", "p50"], ["op", "p90"])
+    assert checks == ["checks", "failed:", "parent", "0,", "change", "0"]
+    assert sorted(bench.rglob("*")) == before
 
 
 def _profile_rows(args, monkeypatch, capsys):
