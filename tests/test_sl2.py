@@ -463,8 +463,8 @@ class _Int64Keys(SL2Group):
 @pytest.mark.parametrize("cells", [64, sl2._CHUNK_CELLS])
 def test_int64_keys_match_int32_keys_and_the_oracles(p, cells, monkeypatch):
     """Products, product indices and both Ruzsa count kernels give the
-    same answers on int64 keys as on int32 keys, and as the oracles do:
-    on a product that uses Y up and on one that the finish completes."""
+    same answers on int64 keys as on int32 keys, and as the oracles do.
+    Of the two products, the larger runs ``_finish`` at 64-cell blocks."""
     g32, g64 = sl2_group(p), _Int64Keys(p)
     assert g32._key_dtype == np.int32
     monkeypatch.setattr(sl2, "_CHUNK_CELLS", cells)
