@@ -35,8 +35,8 @@ from .reports import Report, map_trials
 from .setops import (
     ElementMultiset,
     GroupSet,
+    _group_of,
     _prefix_chain,
-    _same_spec,
     _subset_sum_bits,
     is_cover,
     m_fold,
@@ -58,7 +58,7 @@ def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> Report:
     and ``rhs`` are reported for display.  A failure would indicate an
     engine bug, not new mathematics.
     """
-    _same_spec(a.group, b.group)
+    spec = _group_of(a, b, kind=GroupSpec)
     if a.card == 0 or b.card == 0:
         raise ValueError("both sets must be nonempty (alpha is undefined for empty B)")
     k = at_least(k, 2, "fold count")
@@ -67,7 +67,7 @@ def check_plunnecke(a: GroupSet, b: GroupSet, k: int) -> Report:
     lhs = m_fold(a, k).card
     rhs = alpha**k * b.card
     return Report(
-        group=str(a.group),
+        group=str(spec),
         k=k,
         card_a=a.card,
         card_b=b.card,

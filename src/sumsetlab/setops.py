@@ -6,7 +6,10 @@ iff element i is a member), so unions and translates run word-parallel on
 CPython's big-int limbs.  Its group is a ``GroupSpec`` or an ``SL2Group``.
 Only this module knows the layout: sets are packed from bool arrays over
 the indices (``GroupSet.from_mask``, linear in the order) and read back as
-ascending index arrays (``GroupSet.index_array``).  ``sumset`` returns G at
+ascending index arrays (``GroupSet.index_array``).  Every set operation of
+either engine first asks ``_group_of`` which group its operands share, so
+an operation refuses sets over the other engine's group even where a
+shortcut would decide its result.  ``sumset`` returns G at
 once when ``|A| + |B| > |G|`` (pigeonhole); otherwise it iterates the
 members of the smaller operand and ORs whole-set translates of the larger
 one.  A translate walks the element's index digits, least significant
@@ -123,20 +126,7 @@ class _Kernel:
         return bits
 
 
-def _abelian(spec) -> GroupSpec:
-    """``spec`` itself, once it is known to be an Abelian ``GroupSpec``."""
-    if not isinstance(spec, GroupSpec):
-        kind = type(spec).__name__
-        raise ValueError(f"expected sets over an Abelian GroupSpec, got sets over {kind} {spec}")
-    return spec
-
-
-@lru_cache(maxsize=256)
-def _kernel(spec: GroupSpec) -> _Kernel:
-    """The translate kernel of an Abelian ``spec``; every Abelian set
-    operation reaches it first, so sets over any other group are refused
-    here, once per miss of the cache."""
-    return _Kernel(_abelian(spec))
+_kernel = lru_cache(maxsize=256)(_Kernel)  # the translate kernel of an Abelian spec
 
 
 @dataclass(frozen=True)
@@ -225,7 +215,7 @@ class ElementMultiset:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _abelian(self.spec)  # subset_sums and is_additive_basis need the factors
+        _group_of(GroupSet.empty(self.spec), kind=GroupSpec)  # subset sums need the factors
         merged: dict[int, int] = {}
         for x, mult in self.entries:
             x = check_index(self.spec, x)
@@ -246,9 +236,22 @@ class ElementMultiset:
         return out
 
 
-def _same_spec(a: Group, b: Group) -> None:
-    if a != b:
-        raise SpecMismatchError(f"operands live over different groups: {a} vs {b}")
+def _group_of(*sets: GroupSet, kind: type | None = None) -> Group:
+    """The one group that the operands ``sets`` live over.
+
+    Every set operation asks this before any shortcut.  Operands over two
+    groups raise ``SpecMismatchError``; with ``kind`` (``GroupSpec`` for the
+    Abelian engine, ``SL2Group`` for the SL2 one), a group of another type
+    raises ``ValueError``.
+    """
+    group = sets[0].group
+    for s in sets:
+        if s.group is not group and s.group != group:
+            raise SpecMismatchError(f"operands live over different groups: {group} vs {s.group}")
+    if kind is not None and not isinstance(group, kind):
+        want = "an Abelian GroupSpec" if kind is GroupSpec else "SL2(Z_p)"
+        raise ValueError(f"expected sets over {want}, got sets over {type(group).__name__} {group}")
+    return group
 
 
 def _prefix_chain(
@@ -280,11 +283,9 @@ def _prefix_chain(
     if len(family) % blocks:
         need = "even (2K sets)" if blocks == 2 else f"divisible by {blocks}"
         raise ValueError(f"family length must be {need}, got {len(family)}")
-    group = family[0].group
-    for a in family:
-        _same_spec(group, a.group)
-        if a.card == 0:
-            raise ValueError("family sets must be nonempty")
+    group = _group_of(*family)
+    if any(a.card == 0 for a in family):
+        raise ValueError("family sets must be nonempty")
     if hypothesis_ok is None:
         hypothesis_ok = [hypothesis(a) for a in family]
     k = len(family) // blocks
@@ -316,7 +317,8 @@ def _prefix_chain(
 
 def translate(a: GroupSet, g: int) -> GroupSet:
     """The translate ``{x + g : x in A}``; cardinality is preserved."""
-    return GroupSet(a.group, _kernel(a.group).translate(a.bits, check_index(a.group, g)))
+    spec = _group_of(a, kind=GroupSpec)
+    return GroupSet(spec, _kernel(spec).translate(a.bits, check_index(spec, g)))
 
 
 def _sum_bits(spec: GroupSpec, xbits: int, ybits: int) -> int:
@@ -343,8 +345,8 @@ def sumset(a: GroupSet, b: GroupSet) -> GroupSet:
     When ``|A| + |B| > |G|`` the result is G with no kernel pass: by
     pigeonhole, A and g - B meet for every g.
     """
-    _same_spec(a.group, b.group)
-    return GroupSet(a.group, _sum_bits(a.group, a.bits, b.bits))
+    spec = _group_of(a, b, kind=GroupSpec)
+    return GroupSet(spec, _sum_bits(spec, a.bits, b.bits))
 
 
 def m_fold(a: GroupSet, m: int) -> GroupSet:
@@ -354,8 +356,8 @@ def m_fold(a: GroupSet, m: int) -> GroupSet:
     with the full group as soon as an intermediate covers it, since the
     full group is absorbing under sumsets with nonempty sets.
     """
+    spec = _group_of(a, kind=GroupSpec)
     m = at_least(m, 0, "fold count")
-    spec = a.group
     if m == 0:
         return GroupSet.identity(spec)
     if m == 1 or a.card == 0:

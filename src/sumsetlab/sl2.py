@@ -38,7 +38,7 @@ s the hits of the whole fibre are one row of a per-call line table,
 however many targets there are.
 Sets are ``GroupSet`` bitmasks over these element indices, the same set
 type the Abelian engine uses; the SL2 entry points refuse sets over any
-other group with a ``ValueError``.
+other group with a ``ValueError`` (``setops._group_of``).
 
 Verified statements: the Ruzsa triangle inequality (with its
 representation-count proof on small instances), triple-product covering in
@@ -61,7 +61,7 @@ from .config import check_order
 from .constructions import SearchBudgetError, check_density, check_size, random_set
 from .groups import as_int, as_prime, at_least, check_index
 from .reports import Report, map_trials
-from .setops import GroupSet, _prefix_chain, _same_spec, is_cover
+from .setops import GroupSet, _group_of, _prefix_chain, is_cover
 
 # Product cells a forward block of Y keys in ``product_set``; its finish keys
 # the missing elements against blocks of Y of the same width.
@@ -235,14 +235,6 @@ def sl2_group(p: int) -> SL2Group:
 SL2Set = GroupSet  # the one set type, under the name SL2 callers know
 
 
-def _require_sl2(group) -> SL2Group:
-    """``group`` itself, once it is known to be an SL2 group."""
-    if not isinstance(group, SL2Group):
-        kind = type(group).__name__
-        raise ValueError(f"expected sets over SL2(Z_p), got sets over {kind} {group}")
-    return group
-
-
 def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
     """{a*b : a in X, b in Y}; not commutative in general.
 
@@ -252,8 +244,7 @@ def product_set(x: GroupSet, y: GroupSet) -> GroupSet:
     elements still missing are few enough to finish from their side (see
     ``_finish``), which gives the same set.
     """
-    _same_spec(x.group, y.group)
-    g = _require_sl2(x.group)
+    g = _group_of(x, y, kind=SL2Group)
     return _product(g, x.card, y.card, x.index_array, y.index_array)
 
 
@@ -336,7 +327,7 @@ def _finish(g: SL2Group, ix: np.ndarray, rest: np.ndarray, out: np.ndarray) -> N
 
 def inverse_set(x: GroupSet) -> GroupSet:
     """{a^-1 : a in X}."""
-    g = _require_sl2(x.group)
+    g = _group_of(x, kind=SL2Group)
     if x.card == 0:
         return x
     out = np.zeros(g.order, dtype=bool)
@@ -370,9 +361,7 @@ def check_ruzsa(a: GroupSet, b: GroupSet, c: GroupSet) -> Report:
     r(z) = |X| - |X ∩ z(Y^c)^-1| (zG^-1 is all of G), so the least r(z)
     is |X| minus the largest complement count; for Y = G every r(z) is |X|.
     """
-    _same_spec(a.group, b.group)
-    _same_spec(a.group, c.group)
-    g = _require_sl2(a.group)
+    g = _group_of(a, b, c, kind=SL2Group)
     if b.card == 0:
         raise ValueError("B must be nonempty")
     # Each operand is unpacked to element indices at most once, and only
@@ -543,9 +532,7 @@ def check_gowers(a: GroupSet, b: GroupSet, c: GroupSet) -> Report:
     """|A||B||C| > N^3/D forces ABC = G; below that threshold there is no
     claim and the report passes.  The premise is evaluated in exact
     integers: |A||B||C| * D > N^3."""
-    _same_spec(a.group, b.group)
-    _same_spec(a.group, c.group)
-    g = _require_sl2(a.group)
+    g = _group_of(a, b, c, kind=SL2Group)
     info = _triple_product_info(g.p)
     triple = a.card * b.card * c.card
     premise = triple * info.D > g.order**3
@@ -591,7 +578,7 @@ def _hypothesis_holds(a: GroupSet) -> bool:
     """Whether A A^-1 = G, Theorem 4's hypothesis.  As in ``check_ruzsa``,
     A is unpacked at most once (never when pigeonhole decides) and A^-1 is
     gathered from ``SL2Group.inv``, with no inverse set built."""
-    g = _require_sl2(a.group)
+    g = _group_of(a, kind=SL2Group)
     ia = cache(a.index_array)
     return is_cover(_product(g, a.card, a.card, ia, lambda: g.inv[ia()]))
 

@@ -878,8 +878,26 @@ def test_sl2_entry_points_refuse_abelian_sets(entry):
         lambda s: check_plunnecke(s, s, 2),
         lambda s: verify_theorem1([s, s], 2),
         lambda s: subset_sums(ElementMultiset.from_indices(s.group, [1, 2, 7])),
+        # the shortcuts: an empty operand, and folds that need no sum
+        lambda s: sumset(GroupSet.empty(s.group), s),
+        lambda s: sumset(s, GroupSet.empty(s.group)),
+        lambda s: m_fold(s, 0),
+        lambda s: m_fold(s, 1),
+        lambda s: m_fold(GroupSet.empty(s.group), 3),
     ],
-    ids=["sumset", "m_fold", "translate", "check_plunnecke", "verify_theorem1", "subset_sums"],
+    ids=[
+        "sumset",
+        "m_fold",
+        "translate",
+        "check_plunnecke",
+        "verify_theorem1",
+        "subset_sums",
+        "sumset-empty-left",
+        "sumset-empty-right",
+        "m_fold-0",
+        "m_fold-1",
+        "m_fold-empty",
+    ],
 )
 def test_abelian_entry_points_refuse_sl2_sets(entry):
     s = GroupSet.from_indices(sl2_group(5), [1, 2, 7])
