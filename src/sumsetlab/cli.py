@@ -30,7 +30,7 @@ from . import abelian, constructions, sl2
 from .config import order_cap, set_order_cap
 from .groups import parse_group_spec, vector_space_spec
 from .reports import Report, render
-from .setops import set_from_json, set_to_json, sumset
+from .setops import is_cover, set_from_json, set_to_json, sumset
 
 
 def load_set(path: str, spec: Any):
@@ -180,7 +180,7 @@ def _sumset(args) -> tuple[bool, dict]:
         "card_a": a.card,
         "card_b": b.card,
         "card_sum": s.card,
-        "covers": s.card == spec.order,
+        "covers": is_cover(s),
         "sum": set_to_json(s, form="elements" if s.card <= 4096 else "bitmask"),
     }
 
@@ -207,14 +207,14 @@ def _basis(args) -> tuple[bool, dict]:
         basis = constructions.random_basis_matrix(args.p, args.n, args.seed)
     else:
         basis = constructions.standard_basis_matrix(args.p, args.n)
-    closure_card = abelian._union_closure(vector_space_spec(args.p, args.n), [basis]).card
+    closure = abelian._union_closure(vector_space_spec(args.p, args.n), [basis])
     return True, {
         "p": args.p,
         "n": args.n,
         "random": args.random,
         "rows": [list(r) for r in basis],
-        "closure_card": closure_card,
-        "is_additive_basis": closure_card == args.p**args.n,
+        "closure_card": closure.card,
+        "is_additive_basis": is_cover(closure),
     }
 
 

@@ -188,11 +188,11 @@ def verify_example1(p: int, k: int) -> Report:
                 "card": prefix.card,
                 "expected_card": expected_card,
                 "card_ok": prefix.card == expected_card,
-                "set_ok": prefix.bits == expected_set.bits,
+                "set_ok": prefix == expected_set,
             }
         )
     chain_ok = all(e["card_ok"] and e["set_ok"] for e in chain)
-    final_misses_group = prefix.card != spec.order
+    final_misses_group = not is_cover(prefix)
     return Report(
         p=p,
         k=k,

@@ -410,7 +410,7 @@ def _min_representations(x: GroupSet, y: GroupSet, targets: GroupSet) -> int:
     to 47.  So the fibres run once |Z| is well above (1 + W)(p^2 - 1).
     """
     g = x.group
-    if x.card == g.order:
+    if is_cover(x):
         return y.card  # zY^-1 lies in X = G
     complement = 2 * y.card > g.order
     side = GroupSet(g, y.bits ^ GroupSet.full(g).bits) if complement else y
