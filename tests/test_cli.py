@@ -513,6 +513,18 @@ def test_text_output(capsys):
     assert "command: example1" in out
 
 
+def test_text_output_of_a_sweep(capsys):
+    """A sweep's text output counts its trials and names each failed one."""
+    argv = ["theorem1", "--group", "Z3^4", "--m", "3", "--K", "1", "--trials", "3"]
+    code = cli.run([*argv, "--density", "0.2", "--seed", "0", "--output", "text"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "trials: 3, passed: 2" in lines
+    failed = [line for line in lines if "FAILED" in line]
+    assert len(failed) == 1 and failed[0].startswith("  trial 0: FAILED {")
+    assert "result: FAIL" in lines
+
+
 # ---------------------------------------------------------------------------
 # Set files and the sumset command
 
@@ -539,6 +551,17 @@ def test_sumset_bad_element_names_tuple(tmp_path, capsys):
     code = cli.run(["sumset", "--group", "Z5", "--a", str(bad), "--b", str(bad)])
     assert code == 2
     assert "[7]" in capsys.readouterr().err
+
+
+def test_sumset_malformed_set_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"bitmask_hex": 12}))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"elements": [[1]]}))
+    code = cli.run(["sumset", "--group", "Z5", "--a", str(bad), "--b", str(good)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "sumsetlab: error: 'bitmask_hex' must be a hex string\n"
 
 
 def test_load_set_round_trip(tmp_path):

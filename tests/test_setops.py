@@ -472,6 +472,12 @@ def test_json_both_forms_equal():
 
 def test_json_errors():
     spec = parse_group_spec("Z5")
+    with pytest.raises(ValueError, match="must be an object, got list"):
+        set_from_json(spec, [])
+    with pytest.raises(ValueError, match="'elements' must be a list"):
+        set_from_json(spec, {"elements": "00"})
+    with pytest.raises(ValueError, match="'bitmask_hex' must be a hex string"):
+        set_from_json(spec, {"bitmask_hex": 12})
     with pytest.raises(ValueError, match="exactly one"):
         set_from_json(spec, {})
     with pytest.raises(ValueError, match="exactly one"):
