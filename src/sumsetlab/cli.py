@@ -1,8 +1,11 @@
 """Command-line front end: parse specs and set files, run, report.
 
-Exit codes: 0 all checks passed, 1 a mathematical check failed (the report
-carries the witness), 2 usage or configuration error.  Reports go to
-stdout; diagnostics go to stderr.
+Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
+configuration error.  On exit 1 the report carries the cardinalities and
+bounds that failed.  Only ``example1`` adds a witness: its
+``self_sum_witness`` lists a block's self-sum when that sum misses the
+group and has at most 64 elements (ROADMAP item 15 adds one to the other
+reports).  Reports go to stdout; diagnostics go to stderr.
 
 Each subcommand declares, beside its options, its runner (``args ->
 (passed, report)``) and its config keys.  The envelope's ``config`` lists
