@@ -6,15 +6,15 @@ iff element i is a member), so unions and translates run word-parallel on
 CPython's big-int limbs.  Its group is a ``GroupSpec`` or an ``SL2Group``.
 Only this module knows the layout: sets are packed from bool arrays over
 the indices (``GroupSet.from_mask``, linear in the order) and read back as
-ascending index arrays (``GroupSet.index_array``).  Every set operation of
-either engine first asks ``_group_of`` which group its operands share, so
-an operation refuses sets over the other engine's group even where a
-shortcut would decide its result.  ``sumset`` returns G at
-once when ``|A| + |B| > |G|`` (pigeonhole); otherwise it iterates the
-members of the smaller operand and ORs whole-set translates of the larger
-one.  A translate walks the element's index digits, least significant
-first: each nonzero digit is a shift/mask pass along its axis, and the walk
-stops after the last nonzero digit.
+ascending index arrays (``GroupSet.index_array``).  The operations of both
+engines (translates, sums, products, inverses and the checkers) first ask
+``_group_of`` which group their operands share, so they refuse sets over
+the other engine's group even where a shortcut would decide the result.
+``sumset`` returns G at once when ``|A| + |B| > |G|`` (pigeonhole);
+otherwise it iterates the members of the smaller operand and ORs
+whole-set translates of the larger one.  A translate walks the element's
+index digits, least significant first: each nonzero digit is a shift/mask
+pass along its axis, and the walk stops after the last nonzero digit.
 """
 
 from __future__ import annotations
@@ -239,10 +239,10 @@ class ElementMultiset:
 def _group_of(*sets: GroupSet, kind: type | None = None) -> Group:
     """The one group that the operands ``sets`` live over.
 
-    Every set operation asks this before any shortcut.  Operands over two
-    groups raise ``SpecMismatchError``; with ``kind`` (``GroupSpec`` for the
-    Abelian engine, ``SL2Group`` for the SL2 one), a group of another type
-    raises ``ValueError``.
+    Each operation of either engine asks this before any shortcut.
+    Operands over two groups raise ``SpecMismatchError``; with ``kind``
+    (``GroupSpec`` for the Abelian engine, ``SL2Group`` for the SL2 one),
+    a group of another type raises ``ValueError``.
     """
     group = sets[0].group
     for s in sets:
